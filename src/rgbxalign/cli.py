@@ -15,7 +15,7 @@ from .colmap import parse_colmap_model
 from .densify import DensifyConfig, densify_multilevel
 from .errors import RgbxError
 from .imgcore import Image, load_image, save_image
-from .matching import ClassicalBackend, accumulate_matches, load_matchset, match_pair, save_matchset
+from .matching import ClassicalBackend, accumulate_matches, load_matchset, save_matchset
 from .pipeline import PipelineConfig, evaluate_run, export_dataset, run_pipeline
 from .synthbench import SceneConfig, gen_sequence, save_bundle
 
@@ -149,7 +149,7 @@ def _add_match(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    ms = match_pair(ClassicalBackend(), load_image(args.rgb), load_image(args.x))
+    ms = ClassicalBackend().match_pair(load_image(args.rgb), load_image(args.x))
     save_matchset(ms, args.out)
     print(f"{len(ms)} matches -> {args.out}")
     return 0

@@ -465,18 +465,30 @@ def save_image(img: Image, path: str | Path, bit_depth: int = 16) -> None:
         old_sidecar.unlink()
 
 
+def _luma(rgb: np.ndarray) -> np.ndarray:
+    """BT.601 luma of an (H, W, 3) array."""
+    r, g, b = LUMA_WEIGHTS
+    return r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]
+
+
 def to_grayscale(img: Image) -> Image:
     """Collapse to one channel with BT.601 weights; identity for 1 channel."""
     if img.channels == 1:
         return img
-    r, g, b = LUMA_WEIGHTS
-    gray = r * img.data[:, :, 0] + g * img.data[:, :, 1] + b * img.data[:, :, 2]
-    return Image(gray, units=img.units)
+    return Image(_luma(img.data), units=img.units)
 
 
 def gray_array(img: Image) -> np.ndarray:
     """Grayscale pixel array of an Image (convenience for guidance math)."""
     return to_grayscale(img).data
+
+
+def _window_sums(arr: np.ndarray, win: int) -> np.ndarray:
+    """Sum over every win x win window (valid positions), via integral image."""
+    height, width = arr.shape
+    cum = np.zeros((height + 1, width + 1))
+    cum[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
+    return cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
 
 
 def bilinear_sample(

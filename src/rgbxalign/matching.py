@@ -1,6 +1,7 @@
 """Cross-modal correspondences, multi-frame accumulation, and planar warping.
 
-Matchers are pluggable backends. The built-in classical backend matches
+Matchers are backends with a `match_pair(rgb, x, rgb_frame, x_frame)` method
+returning a `MatchSet`. The built-in classical backend matches
 gradient-orientation patches with zero-normalized cross-correlation, which
 survives the contrast inversions typical between RGB and other modalities.
 Accumulation stacks matched X values from a window of frames onto the target
@@ -16,12 +17,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import EstimationFailedError, MatchingError
-from .imgcore import ConfidenceMap, Image, Mask, SparseMap, bilinear_sample, gray_array
+from .imgcore import ConfidenceMap, Image, Mask, SparseMap, _window_sums, bilinear_sample, gray_array
 
 logger = logging.getLogger(__name__)
 
@@ -29,15 +29,6 @@ logger = logging.getLogger(__name__)
 def round_to_pixel(coords: np.ndarray) -> np.ndarray:
     """Nearest-integer pixel rule used everywhere matches meet the grid."""
     return np.floor(np.asarray(coords, dtype=np.float64) + 0.5).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class Match:
-    """One correspondence: subpixel (row, col) in each frame plus confidence."""
-
-    p_rgb: tuple[float, float]
-    p_x: tuple[float, float]
-    conf: float
 
 
 @dataclass(frozen=True)
@@ -75,12 +66,6 @@ class MatchSet:
 
     def __len__(self) -> int:
         return len(self.conf)
-
-    def matches(self) -> list[Match]:
-        return [
-            Match(tuple(self.p_rgb[i]), tuple(self.p_x[i]), float(self.conf[i]))
-            for i in range(len(self))
-        ]
 
 
 def _dedup_indices(p_rgb: np.ndarray, conf: np.ndarray) -> np.ndarray:
@@ -124,26 +109,15 @@ class Homography:
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         """Map (N, 2) (row, col) points through the transform."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        hom = np.column_stack([pts, np.ones(len(pts))])
-        q = hom @ self.h.T
-        return q[:, :2] / q[:, 2:3]
+        return _apply_homography(self.h, pts)
 
 
-@runtime_checkable
-class MatcherBackend(Protocol):
-    """Pluggable correspondence producer."""
-
-    name: str
-
-    def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet: ...
-
-
-def match_pair(
-    backend: MatcherBackend, rgb: Image, x: Image, rgb_frame: str = "0", x_frame: str = "0"
-) -> MatchSet:
-    """Produce correspondences between an RGB frame and an X frame."""
-    return backend.match_pair(rgb, x, rgb_frame, x_frame)
+def _apply_homography(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Map (N, 2) (row, col) points through a raw 3x3 matrix, unnormalized."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    hom = np.column_stack([pts, np.ones(len(pts))])
+    q = hom @ h.T
+    return q[:, :2] / q[:, 2:3]
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +132,6 @@ def _orientation_channels(gray: np.ndarray) -> np.ndarray:
     mag = np.hypot(gx, gy)
     theta = np.arctan2(gy, gx)
     return np.stack([mag * np.cos(2.0 * theta), mag * np.sin(2.0 * theta)], axis=-1)
-
-
-def _window_sums(arr: np.ndarray, win: int) -> np.ndarray:
-    """Sum over every win x win window (valid positions), via integral image."""
-    height, width = arr.shape
-    cum = np.zeros((height + 1, width + 1))
-    cum[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-    return cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
 
 
 def zncc(a: np.ndarray, b: np.ndarray) -> float:
@@ -199,7 +165,10 @@ class ClassicalBackend:
         self.patch = patch
         self.min_energy = min_energy
 
-    def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
+    def match_pair(
+        self, rgb: Image, x: Image, rgb_frame: str = "0", x_frame: str = "0"
+    ) -> MatchSet:
+        """Produce correspondences between an RGB frame and an X frame."""
         half = self.patch // 2
         if min(rgb.height, rgb.width, x.height, x.width) < self.patch + 2:
             return MatchSet(
@@ -346,12 +315,6 @@ def _normalizing_transform(pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _apply_transform(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    hom = np.column_stack([pts, np.ones(len(pts))])
-    q = hom @ t.T
-    return q[:, :2] / q[:, 2:3]
-
-
 def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     n = len(src)
     a = np.zeros((2 * n, 9))
@@ -427,8 +390,8 @@ def estimate_homography(
     dst = ms.p_x
     t_src = _normalizing_transform(src)
     t_dst = _normalizing_transform(dst)
-    src_n = _apply_transform(t_src, src)
-    dst_n = _apply_transform(t_dst, dst)
+    src_n = _apply_homography(t_src, src)
+    dst_n = _apply_homography(t_dst, dst)
     t_dst_inv = np.linalg.inv(t_dst)
 
     total_conf = ms.conf.sum()

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import MetricError
 from .fuse_filter import SimilarityMatrix
-from .imgcore import Image
+from .imgcore import Image, _window_sums
 from .quantiles import quantile
 
 PSNR_INF = float("inf")
@@ -59,21 +59,16 @@ def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
 
-    def window_means(arr: np.ndarray) -> np.ndarray:
-        cum = np.zeros((height + 1, width + 1))
-        cum[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-        total = (
-            cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
-        )
-        return total / (win * win)
+    def means(arr: np.ndarray) -> np.ndarray:
+        return _window_sums(arr, win) / (win * win)
 
     x = a.data
     y = b.data
-    mu_x = window_means(x)
-    mu_y = window_means(y)
-    xx = window_means(x * x) - mu_x * mu_x
-    yy = window_means(y * y) - mu_y * mu_y
-    xy = window_means(x * y) - mu_x * mu_y
+    mu_x = means(x)
+    mu_y = means(y)
+    xx = means(x * x) - mu_x * mu_x
+    yy = means(y * y) - mu_y * mu_y
+    xy = means(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
     return float(np.mean(num / den))

@@ -80,6 +80,16 @@ class PipelineConfig:
             raise ValueError("window must be odd and >= 1")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+        # a bad value would otherwise raise inside every frame and abort the run
+        AreaSampleConfig(self.area_rate, self.area_conf)
+        if self.tau <= 0 or self.lam < 0:
+            raise ValueError("tau must be > 0 and lam >= 0")
+        if self.patch_size < 1:
+            raise ValueError("patch_size must be >= 1")
+        if self.ransac_thresh <= 0 or self.ransac_iters < 1:
+            raise ValueError("ransac_thresh must be > 0 and ransac_iters >= 1")
+        if self.oracle_count < 1:
+            raise ValueError("oracle_count must be >= 1")
         if isinstance(self.densify, dict):
             d = dict(self.densify)
             if "thresholds" in d:
@@ -153,7 +163,7 @@ class _OracleAdapter:
         self.noise = noise
         self.count = count
         self.seed = seed
-        self.index: dict[str, int] = {}
+        self.index = {fid: n for n, fid in enumerate(bundle.frame_ids)}
 
     def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
         i = self.index[rgb_frame]
@@ -221,7 +231,9 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
             homogeneous_outlier_boost=cfg.oracle_homog_outlier_boost,
         )
         backend = _OracleAdapter(bundle, noise, cfg.oracle_count, cfg.seed)
-        backend.index = {fid: i for i, fid in enumerate(frame_ids)}
+        unknown = [fid for fid in frame_ids if fid not in backend.index]
+        if unknown:
+            raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
     elif cfg.backend == "classical":
         backend = ClassicalBackend()
     else:
@@ -399,7 +411,11 @@ def _write_report_csv(path: Path, records: list[FrameRecord]) -> None:
 
 
 def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricReport:
-    """Score a run's aligned X outputs against the bundle's ground truth."""
+    """Score a run's aligned X outputs against the bundle's ground truth.
+
+    Each output is scored against the bundle frame of the same id; its
+    consistency is scored only when the next bundle frame has an output too.
+    """
     from .synthbench import consistency_metric
 
     bundle = load_bundle(input_dir)
@@ -407,12 +423,16 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
     out_paths = _frame_paths(run_dir / "x_final")
     if not out_paths:
         raise PipelineError(f"no outputs under {run_dir / 'x_final'}")
+    index = {fid: n for n, fid in enumerate(bundle.frame_ids)}
+    unknown = sorted(set(out_paths) - set(index))
+    if unknown:
+        raise PipelineError(f"outputs {unknown} are not frames of the benchmark bundle")
     report = metrics.MetricReport()
-    outputs = []
-    ids = sorted(out_paths)
-    for idx, fid in enumerate(ids):
+    outputs: dict[int, Image] = {}
+    for fid in sorted(out_paths):
+        idx = index[fid]
         img = load_image(out_paths[fid])
-        outputs.append(img)
+        outputs[idx] = img
         gt = bundle.x_gt[idx]
         fm = metrics.FrameMetrics(frame=fid)
         fm.psnr = metrics.psnr(img, gt)
@@ -426,29 +446,11 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
         fm.diag = tuple(metrics.diag_percentiles(sim))
         fm.self_match = fuse_filter.self_match_score(sim)
         report.frames.append(fm)
-    if len(outputs) >= 2:
-        for idx in range(len(outputs) - 1):
-            pair_bundle = consistency_metric(outputs[idx : idx + 2], _shift_bundle(bundle, idx))
-            report.frames[idx].consistency = pair_bundle
+    for fm in report.frames:
+        idx = index[fm.frame]
+        if idx + 1 in outputs:
+            fm.consistency = consistency_metric([outputs[idx], outputs[idx + 1]], bundle, idx)
     return report
-
-
-def _shift_bundle(bundle: GroundTruthBundle, start: int) -> GroundTruthBundle:
-    """View of a bundle starting at `start` (for pairwise consistency)."""
-    sl = slice(start, None)
-    return replace(
-        bundle,
-        rgb=bundle.rgb[sl],
-        x_gt=bundle.x_gt[sl],
-        x_raw=bundle.x_raw[sl],
-        area_masks=bundle.area_masks[sl],
-        layer_maps=bundle.layer_maps[sl],
-        alphas_rgb=bundle.alphas_rgb[sl],
-        alphas_x=bundle.alphas_x[sl],
-        maps_rgb=bundle.maps_rgb[sl],
-        maps_x=bundle.maps_x[sl],
-        corruption_masks=None if bundle.corruption_masks is None else bundle.corruption_masks[sl],
-    )
 
 
 # ---------------------------------------------------------------------------

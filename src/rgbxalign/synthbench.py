@@ -18,15 +18,16 @@ import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import binary_erosion, gaussian_filter
 
 from .errors import MetricError, RgbxError
-from .imgcore import Image, Mask, bilinear_sample, load_image, save_image
-from .matching import MatchSet
+from .fuse_filter import PatchGrid
+from .imgcore import Image, Mask, _luma, bilinear_sample, save_image
+from .matching import MatchSet, _apply_homography
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +77,8 @@ class SceneConfig:
             raise ValueError("homogeneous_fraction out of range")
         if not 0.0 <= self.homogeneous_contrast <= 1.0:
             raise ValueError("homogeneous_contrast out of range")
+        if not 1 <= self.patch_size <= self.size:
+            raise ValueError("patch_size must lie in [1, size]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,6 @@ class NoiseModel:
     sigma: float = 0.0  # match position noise, px
     outlier_fraction: float = 0.0
     rho: float = 1.0  # confidence fidelity: 1 = confidence tracks correctness
-    sigma_value: float = 0.0  # X raster value noise, used by helpers
     skip_homogeneous: bool = False  # emulate matchers failing on texture-less areas
     # real matchers go wrong mostly where texture is poor: scale the outlier
     # probability inside the area-mask regions by this factor, renormalizing
@@ -93,8 +95,8 @@ class NoiseModel:
     homogeneous_outlier_boost: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0 or self.sigma_value < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        if self.sigma < 0:
+            raise ValueError("noise sigma must be non-negative")
         for frac in (self.outlier_fraction, self.rho):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
@@ -134,12 +136,6 @@ def _camera_homography(
     return _translation(dr, dc) @ core
 
 
-def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    hom = np.column_stack([pts, np.ones(len(pts))])
-    q = hom @ h.T
-    return q[:, :2] / q[:, 2:3]
-
-
 # ---------------------------------------------------------------------------
 # Procedural textures
 # ---------------------------------------------------------------------------
@@ -167,10 +163,6 @@ def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell: int, oc
 def _normalized(arr: np.ndarray) -> np.ndarray:
     lo, hi = arr.min(), arr.max()
     return (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)
-
-
-def _gray(rgb: np.ndarray) -> np.ndarray:
-    return 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
 
 
 @dataclass
@@ -273,7 +265,7 @@ def _build_foreground(
 def _modality_transform(
     rng: np.random.Generator, rgb: np.ndarray, cfg: SceneConfig, base: float, span: float
 ) -> np.ndarray:
-    gray = _gray(rgb)
+    gray = _luma(rgb)
     if cfg.modality == "thermal-like":
         # monotone remap of a low-passed gray: flattened texture, mild blur
         flat = gaussian_filter(gray, sigma=2.5, mode="nearest")
@@ -330,6 +322,11 @@ class GroundTruthBundle:
     def shape(self) -> tuple[int, int]:
         return self.rgb[0].shape
 
+    @property
+    def frame_ids(self) -> tuple[str, ...]:
+        """File stem of each frame, in frame order (0000, 0001, ...)."""
+        return tuple(f"{n:04d}" for n in range(self.frames))
+
     def foreground_mask(self, frame: int) -> Mask:
         return Mask(self.layer_maps[frame] >= 1)
 
@@ -358,7 +355,7 @@ class GroundTruthBundle:
             if not sel.any():
                 continue
             h = maps_dst[j][l] @ np.linalg.inv(self.maps_rgb[i][l])
-            coords[sel] = _apply_h(h, pts[sel])
+            coords[sel] = _apply_homography(h, pts[sel])
 
         valid = np.ones(height * width, dtype=bool)
         # exclude layer-boundary fringes in the source view
@@ -408,7 +405,7 @@ def _render(
     out = np.zeros((size * size, channels) if channels > 1 else (size * size,))
     alphas = np.zeros((len(layers), size, size))
     for l, (layer, h) in enumerate(zip(layers, maps)):
-        tex_pts = _apply_h(np.linalg.inv(h), pts)
+        tex_pts = _apply_homography(np.linalg.inv(h), pts)
         content = layer.rgb if channels == 3 else layer.x
         values, valid = bilinear_sample(content, tex_pts[:, 0], tex_pts[:, 1])
         if l == 0:
@@ -507,7 +504,7 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
 
         rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
         pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
-        tex = _apply_h(np.linalg.inv(maps_rgb[n][0]), pts)
+        tex = _apply_homography(np.linalg.inv(maps_rgb[n][0]), pts)
         hm, _ = bilinear_sample(homog_world.astype(np.float64), tex[:, 0], tex[:, 1])
         area = (hm.reshape(size, size) > 0.5) & (lm == 0)
         # erode away from region boundaries, as a careful mask provider
@@ -560,24 +557,16 @@ def _corruption_mask(cfg: SceneConfig, seed: int, x_ref: np.ndarray) -> Mask:
     patches keeps the injected defects meaningful.
     """
     rng = np.random.default_rng(seed)
-    per = cfg.size // cfg.patch_size
-    total = per * per
+    grid = PatchGrid(cfg.size, cfg.size, cfg.patch_size)
+    total = grid.patches
     k = max(1, math.ceil(cfg.corrupt_patch_fraction * total))
-
-    def patch_slice(idx: int) -> tuple[slice, slice]:
-        pr, pc = divmod(int(idx), per)
-        r1 = (pr + 1) * cfg.patch_size if pr < per - 1 else cfg.size
-        c1 = (pc + 1) * cfg.patch_size if pc < per - 1 else cfg.size
-        return slice(pr * cfg.patch_size, r1), slice(pc * cfg.patch_size, c1)
-
-    stds = np.array([x_ref[patch_slice(i)].std() for i in range(total)])
+    stds = np.array([x_ref[grid.bounds(i)].std() for i in range(total)])
     textured = np.flatnonzero(stds > 0.02)
     pool = textured if len(textured) >= k else np.arange(total)
     chosen = pool[rng.choice(len(pool), size=k, replace=False)]
     bits = np.zeros((cfg.size, cfg.size), dtype=bool)
     for idx in chosen:
-        rs, cs = patch_slice(int(idx))
-        bits[rs, cs] = True
+        bits[grid.bounds(int(idx))] = True
     return Mask(bits)
 
 
@@ -688,22 +677,22 @@ def oracle_match(
 # ---------------------------------------------------------------------------
 
 
-def consistency_metric(x_outputs: list[Image], bundle: GroundTruthBundle) -> float:
+def consistency_metric(x_outputs: list[Image], bundle: GroundTruthBundle, start: int = 0) -> float:
     """Mean masked RMSE between adjacent frames after GT warping.
 
-    For each adjacent pair, frame i's output is warped into frame i+1's
-    geometry through the ground-truth correspondence field and compared to
-    frame i+1's output where the correspondence is valid. Lower is more
-    multi-view consistent.
+    x_outputs[k] is the output for bundle frame start + k. For each adjacent
+    pair, frame i's output is warped into frame i+1's geometry through the
+    ground-truth correspondence field and compared to frame i+1's output
+    where the correspondence is valid. Lower is more multi-view consistent.
     """
     if len(x_outputs) < 2:
         raise MetricError("consistency metric needs at least two frames")
-    if len(x_outputs) > bundle.frames:
+    if start < 0 or start + len(x_outputs) > bundle.frames:
         raise MetricError("more outputs than bundle frames")
     vals = []
     for j in range(1, len(x_outputs)):
         i = j - 1
-        coords, valid = bundle.rgb_correspondence(j, i)
+        coords, valid = bundle.rgb_correspondence(start + j, start + i)
         sampled, ok = bilinear_sample(x_outputs[i].data, coords[:, :, 0], coords[:, :, 1])
         sel = valid & ok
         if not sel.any():
@@ -725,13 +714,13 @@ def save_bundle(bundle: GroundTruthBundle, out_dir: str | Path) -> None:
     out = Path(out_dir)
     for sub in ("rgb", "x_gt", "x_raw", "masks", "gt"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    for n in range(bundle.frames):
-        save_image(bundle.rgb[n], out / "rgb" / f"{n:04d}.png", bit_depth=8)
-        save_image(bundle.x_gt[n], out / "x_gt" / f"{n:04d}.png", bit_depth=16)
-        save_image(bundle.x_raw[n], out / "x_raw" / f"{n:04d}.png", bit_depth=16)
+    for n, fid in enumerate(bundle.frame_ids):
+        save_image(bundle.rgb[n], out / "rgb" / f"{fid}.png", bit_depth=8)
+        save_image(bundle.x_gt[n], out / "x_gt" / f"{fid}.png", bit_depth=16)
+        save_image(bundle.x_raw[n], out / "x_raw" / f"{fid}.png", bit_depth=16)
         save_image(
             Image(bundle.area_masks[n].bits.astype(np.float64)),
-            out / "masks" / f"{n:04d}.png",
+            out / "masks" / f"{fid}.png",
             bit_depth=8,
         )
     lines = ["# frame layer h00 h01 h02 h10 h11 h12 h20 h21 h22 (RGB->X, row-major)"]
@@ -766,10 +755,3 @@ def _regenerate(cfg: SceneConfig) -> GroundTruthBundle:
         for arr in arrays:
             arr.flags.writeable = False
     return bundle
-
-
-def load_frames(in_dir: str | Path, sub: str) -> list[Image]:
-    """Load a numbered frame directory (0000.png, 0001.png, ...)."""
-    frame_dir = Path(in_dir) / sub
-    paths = sorted(frame_dir.glob("*.png")) + sorted(frame_dir.glob("*.pgm"))
-    return [load_image(p) for p in paths]

@@ -13,7 +13,6 @@ from rgbxalign.matching import (
     accumulate_matches,
     estimate_homography,
     load_matchset,
-    match_pair,
     round_to_pixel,
     save_matchset,
     warp_image,
@@ -276,7 +275,7 @@ class TestClassicalBackend:
         for _ in range(10):
             tex = gaussian_filter(rng.random((128, 128)), 1.2)
             img = Image((tex - tex.min()) / (tex.max() - tex.min()))
-            ms = match_pair(ClassicalBackend(), img, img)
+            ms = ClassicalBackend().match_pair(img, img)
             assert len(ms) > 50
             dist = np.linalg.norm(ms.p_rgb - ms.p_x, axis=1)
             rates.append((dist <= 1.0).mean())
@@ -286,19 +285,19 @@ class TestClassicalBackend:
         rng = np.random.default_rng(3)
         tex = gaussian_filter(rng.random((96, 96)), 1.5)
         tex = (tex - tex.min()) / (tex.max() - tex.min())
-        ms = match_pair(ClassicalBackend(), Image(tex), Image(1.0 - tex))
+        ms = ClassicalBackend().match_pair(Image(tex), Image(1.0 - tex))
         dist = np.linalg.norm(ms.p_rgb - ms.p_x, axis=1)
         assert (dist <= 1.0).mean() >= 0.9
 
     def test_blank_x(self, rng):
         img = Image(rng.random((64, 64)))
         blank = Image(np.full((64, 64), 0.5))
-        ms = match_pair(ClassicalBackend(), img, blank)
+        ms = ClassicalBackend().match_pair(img, blank)
         assert len(ms) == 0 or ms.conf.max() < 0.2
 
     def test_too_small_image(self, rng):
         tiny = Image(rng.random((10, 10)))
-        ms = match_pair(ClassicalBackend(), tiny, tiny)
+        ms = ClassicalBackend().match_pair(tiny, tiny)
         assert len(ms) == 0
         assert ms.warnings
 
@@ -309,7 +308,7 @@ class TestClassicalBackend:
         tex = gaussian_filter(rng.random((96, 96)), 1.0)
         tex = (tex - tex.min()) / (tex.max() - tex.min())
         img = Image(tex)
-        ms = match_pair(ClassicalBackend(), img, img)
+        ms = ClassicalBackend().match_pair(img, img)
         g = _orientation_channels(tex)
         for k in range(0, len(ms), 23):
             r, c = ms.p_rgb[k].astype(int)

@@ -138,6 +138,32 @@ class TestEvaluate:
         assert 0.0 <= agg.ssim <= 1.0
         assert agg.consistency < 0.2
 
+    def test_missing_output_keeps_other_scores(self, bench_dir, tmp_path):
+        run = tmp_path / "run"
+        run_pipeline(fast_config(bench_dir, run, window=3, enable_filtering=False))
+        full = {fm.frame: fm for fm in evaluate_run(bench_dir, run).frames}
+        (run / "x_final" / "0003.png").unlink()
+        partial = {fm.frame: fm for fm in evaluate_run(bench_dir, run).frames}
+        assert sorted(partial) == [fid for fid in sorted(full) if fid != "0003"]
+        for fid, fm in partial.items():
+            assert (fm.psnr, fm.ssim) == (full[fid].psnr, full[fid].ssim), fid
+        for fid in ("0000", "0001", "0004"):
+            assert partial[fid].consistency == full[fid].consistency, fid
+        assert np.isnan(partial["0002"].consistency)
+
+    def test_unknown_frame_rejected(self, bench_dir, tmp_path):
+        import shutil
+
+        extra = tmp_path / "extra"
+        shutil.copytree(bench_dir, extra)
+        shutil.copyfile(extra / "rgb" / "0000.png", extra / "rgb" / "0099.png")
+        with pytest.raises(PipelineError):
+            run_pipeline(fast_config(extra, tmp_path / "out"))
+        (tmp_path / "run" / "x_final").mkdir(parents=True)
+        save_image(load_image(bench_dir / "x_gt" / "0000.png"), tmp_path / "run" / "x_final" / "0099.png")
+        with pytest.raises(PipelineError):
+            evaluate_run(bench_dir, tmp_path / "run")
+
 
 def minimal_colmap(tmp_path, names):
     model_dir = tmp_path / "model"
@@ -219,6 +245,22 @@ class TestCli:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             PipelineConfig(window=4)
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (PipelineConfig, dict(area_rate=0.0)),
+        (PipelineConfig, dict(area_conf=1.5)),
+        (PipelineConfig, dict(tau=0.0)),
+        (PipelineConfig, dict(lam=-0.1)),
+        (PipelineConfig, dict(patch_size=0)),
+        (PipelineConfig, dict(ransac_thresh=0.0)),
+        (PipelineConfig, dict(ransac_iters=0)),
+        (PipelineConfig, dict(oracle_count=0)),
+        (SceneConfig, dict(size=64, patch_size=0)),
+        (SceneConfig, dict(size=64, patch_size=65)),
+    ])
+    def test_invalid_config_rejected_up_front(self, cls, kwargs):
+        with pytest.raises(ValueError):
+            cls(**kwargs)
 
 
 def test_manifest_failed_count():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgbxalign.errors import MetricError
+from rgbxalign.fuse_filter import PatchGrid
 from rgbxalign.imgcore import Image, bilinear_sample
 from rgbxalign.synthbench import (
     BILINEAR_BOUND,
@@ -150,6 +151,19 @@ class TestCorruption:
         assert bundle.corruption_masks is not None
         frac = bundle.corruption_masks[0].bits.mean()
         assert 0.05 <= frac <= 0.2
+
+    def test_masks_are_whole_cells_on_a_remainder_grid(self):
+        bundle = gen_sequence(SceneConfig(seed=4, size=100, frames=4, patch_size=32,
+                                          corrupt_patch_fraction=0.2))
+        grid = PatchGrid(100, 100, 32)
+        touches_edge = False
+        for mask in bundle.corruption_masks:
+            cells = [mask.bits[grid.bounds(i)] for i in range(grid.patches)]
+            assert all(c.all() or not c.any() for c in cells)
+            assert sum(c.all() for c in cells) == 2  # ceil(0.2 * 9) cells
+            touches_edge |= bool(mask.bits[-1].any() or mask.bits[:, -1].any())
+        # the last row and column of cells are 36 px, not 32
+        assert touches_edge
 
     def test_corrupt_changes_only_masked(self, small_bundle):
         bundle = gen_sequence(SceneConfig(seed=2, size=128, frames=2, corrupt_patch_fraction=0.1))
