@@ -12,8 +12,8 @@ import numpy as np
 
 from . import fuse_filter
 from .colmap import parse_colmap_model
-from .densify import DensifyConfig, densify_multilevel
-from .errors import RgbxError
+from .densify import DensifyConfig, compute_affinities, densify_multilevel
+from .errors import PipelineError, RgbxError
 from .imgcore import Image, load_image, save_image
 from .matching import ClassicalBackend, accumulate_matches, load_matchset, save_matchset
 from .pipeline import PipelineConfig, evaluate_run, export_dataset, run_pipeline
@@ -83,7 +83,12 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     payload = {}
     if args.config:
-        payload = json.loads(Path(args.config).read_text())
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise PipelineError(f"{args.config}: cannot read a JSON config ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise PipelineError(f"{args.config}: a config must be a JSON object")
     payload["input_dir"] = args.input
     payload["output_dir"] = args.out
     for key in ("backend", "seed", "window", "workers", "dump_levels",
@@ -169,7 +174,7 @@ def _cmd_densify(args: argparse.Namespace) -> int:
     ms = load_matchset(args.matches)
     sparse, conf = accumulate_matches([ms], [load_image(args.x)], ms.rgb_frame, rgb.shape)
     certainty: dict[float, float] = {}
-    levels = densify_multilevel(rgb, sparse, conf, DensifyConfig(), certainty)
+    levels = densify_multilevel(compute_affinities(rgb), sparse, conf, DensifyConfig(), certainty)
     fused = fuse_filter.fuse_levels([fuse_filter.enhance(img, rgb) for img in levels.values()],
                                     [certainty[d] for d in levels] if certainty else None)
     save_image(fused, args.out, bit_depth=16)
@@ -182,7 +187,7 @@ def _add_filter(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--rgb", required=True)
     p.add_argument("--xd", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--patch", type=int, default=32)
+    p.add_argument("--patch", type=int, default=fuse_filter.PatchGrid.patch)
     p.set_defaults(func=_cmd_filter)
 
 

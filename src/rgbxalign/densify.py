@@ -29,15 +29,20 @@ logger = logging.getLogger(__name__)
 # 8-connected ring, scaled by each radius; fixed order pins the floating-point
 # summation sequence (the scalar reference recurrence must mirror it).
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+# The ring is taken at each of these radii; the guidance weights use these
+# color and spatial bandwidths.
+RADII = (1, 2, 4)
+SIGMA_COLOR = 0.05
+SIGMA_SPATIAL = 1.5
+# Neighbor offsets in weight order: every ring offset at the first radius,
+# then at the next.
+OFFSETS = tuple((r * a, r * b) for r in RADII for (a, b) in _RING)
 
 
 @dataclass(frozen=True)
 class DensifyConfig:
     thresholds: tuple[float, ...] = (0.15, 0.3, 0.5)
     iterations: int = 24
-    radii: tuple[int, ...] = (1, 2, 4)
-    sigma_color: float = 0.05
-    sigma_spatial: float = 1.5
     tol: float = 1e-4
     # when False, the recurrence anchors with the known-pixel indicator
     # instead of the matching confidence (thresholding still applies)
@@ -49,8 +54,6 @@ class DensifyConfig:
         deltas = tuple(self.thresholds)
         if deltas and (list(deltas) != sorted(deltas) or not all(0.0 <= d < 1.0 for d in deltas)):
             raise ValueError("thresholds must be ascending and within [0, 1)")
-        if self.sigma_color <= 0 or self.sigma_spatial <= 0:
-            raise ValueError("bandwidths must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,6 @@ class CertaintyMap:
         object.__setattr__(self, "cs", cs)
 
 
-def offset_list(cfg: DensifyConfig) -> tuple[tuple[int, int], ...]:
-    return tuple((r * a, r * b) for r in cfg.radii for (a, b) in _RING)
-
-
 def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
     """arr sampled at (row+dr, col+dc), zero outside."""
     height, width = arr.shape
@@ -117,26 +116,24 @@ def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
     return out
 
 
-def compute_affinities(rgb: Image, cfg: DensifyConfig | None = None) -> AffinityField:
+def compute_affinities(rgb: Image) -> AffinityField:
     """Joint-bilateral guidance weights from the RGB image.
 
-    Raw weight for offset (a, b) at radius r:
-        exp(-(g(p) - g(p + (r*a, r*b)))^2 / (2 sigma_color^2))
-        * exp(-r^2 / (2 sigma_spatial^2))
+    Raw weight for offset (a, b) at radius r in RADII:
+        exp(-(g(p) - g(p + (r*a, r*b)))^2 / (2 SIGMA_COLOR^2))
+        * exp(-r^2 / (2 SIGMA_SPATIAL^2))
     with g the grayscale guidance; zero out of bounds, then normalized to
     sum to 1 at every pixel.
     """
-    cfg = cfg or DensifyConfig()
     g = gray_array(rgb)
     height, width = g.shape
     if height < 2 or width < 2:
         raise DensifyError("guidance image too small for neighborhood affinities")
-    offsets = offset_list(cfg)
-    weights = np.zeros((len(offsets), height, width))
-    inv_color = 1.0 / (2.0 * cfg.sigma_color**2)
+    weights = np.zeros((len(OFFSETS), height, width))
+    inv_color = 1.0 / (2.0 * SIGMA_COLOR**2)
     k = 0
-    for r in cfg.radii:
-        spatial = np.exp(-(r * r) / (2.0 * cfg.sigma_spatial**2))
+    for r in RADII:
+        spatial = np.exp(-(r * r) / (2.0 * SIGMA_SPATIAL**2))
         for a, b in _RING:
             dr, dc = r * a, r * b
             neighbor = _shifted(g, dr, dc)
@@ -149,7 +146,7 @@ def compute_affinities(rgb: Image, cfg: DensifyConfig | None = None) -> Affinity
     if total.min() <= 0.0:
         raise DensifyError("pixel with no in-bounds neighbor")
     weights /= total
-    return AffinityField(weights, offsets)
+    return AffinityField(weights, OFFSETS)
 
 
 def certainty_map(sparse: SparseMap) -> CertaintyMap:
@@ -257,14 +254,13 @@ def threshold_sparse(
 
 
 def densify_level(
-    rgb_or_aff: Image | AffinityField,
+    aff: AffinityField,
     sparse: SparseMap,
     conf: ConfidenceMap,
     cfg: DensifyConfig,
     step_sizes: list[float] | None = None,
 ) -> Image:
     """Initialize and propagate a single sparse level."""
-    aff = rgb_or_aff if isinstance(rgb_or_aff, AffinityField) else compute_affinities(rgb_or_aff, cfg)
     l0 = init_dense(sparse)
     if not cfg.use_confidence:
         conf = ConfidenceMap(sparse.known.astype(np.float64))
@@ -287,7 +283,7 @@ def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: Densi
 
 
 def densify_multilevel(
-    rgb: Image,
+    aff: AffinityField,
     sparse: SparseMap,
     conf: ConfidenceMap,
     cfg: DensifyConfig | None = None,
@@ -295,26 +291,27 @@ def densify_multilevel(
 ) -> dict[float, Image]:
     """Densify at each confidence threshold; returns {delta: dense image}.
 
-    Levels whose thresholded map keeps no pixel are omitted (and logged).
-    Raises DensifyError when every level is empty. If `certainty` is given
-    and more than one level is produced, it receives each level's mean
-    `reach`; a lone level has nothing to be ranked against, so it gets none.
+    `aff` is the frame's `compute_affinities` field. Levels whose
+    thresholded map keeps no pixel are omitted (and logged). Raises
+    DensifyError when every level is empty. If `certainty` is given and more
+    than one level is produced, it receives each level's mean `reach`; a
+    lone level has nothing to be ranked against, so it gets none.
     """
     cfg = cfg or DensifyConfig()
     if not cfg.thresholds:
         raise DensifyError("no thresholds configured")
-    aff = compute_affinities(rgb, cfg)
     out: dict[float, Image] = {}
+    kept: dict[float, tuple[SparseMap, ConfidenceMap]] = {}
     for delta in cfg.thresholds:
         level_sparse, level_conf = threshold_sparse(sparse, conf, delta)
         if level_sparse.num_known == 0:
             logger.warning("threshold %.3f keeps no pixels; level omitted", delta)
             continue
+        kept[delta] = level_sparse, level_conf
         out[delta] = densify_level(aff, level_sparse, level_conf, cfg)
     if not out:
         raise DensifyError("all confidence levels are empty")
     if certainty is not None and len(out) > 1:
-        for delta in out:
-            level_sparse, level_conf = threshold_sparse(sparse, conf, delta)
+        for delta, (level_sparse, level_conf) in kept.items():
             certainty[delta] = float(reach(aff, level_sparse, level_conf, cfg).data.mean())
     return out

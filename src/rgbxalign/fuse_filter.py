@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .densify import DensifyConfig, densify_level
+from .densify import AffinityField, DensifyConfig, densify_level
 from .errors import DensifyError, FilterError
 from .imgcore import ConfidenceMap, Image, Mask, SparseMap, gray_array
 from .quantiles import quantile
@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 DESCRIPTOR_CELLS = 4  # 4x4 spatial cells
 DESCRIPTOR_BINS = 8  # orientation bins over [0, pi)
 DESCRIPTOR_DIM = DESCRIPTOR_CELLS * DESCRIPTOR_CELLS * DESCRIPTOR_BINS
+
+# Window radius and regularization of the enhancement's guided filter.
+GUIDED_RADIUS = 4
+GUIDED_EPS = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +52,9 @@ def _box_filter(arr: np.ndarray, radius: int) -> np.ndarray:
     return along(along(arr, radius).T, radius).T
 
 
-def guided_filter(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps: float = 1e-3) -> np.ndarray:
+def guided_filter(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Edge-preserving smoothing of src steered by a single-channel guide."""
-    r = min(radius, (min(src.shape) - 1) // 2)
+    r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
     if r < 1:
         return src.copy()
     ones = np.ones_like(src)
@@ -59,14 +63,14 @@ def guided_filter(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps: floa
     mean_p = _box_filter(src, r) / n
     cov_ip = _box_filter(guide * src, r) / n - mean_i * mean_p
     var_i = _box_filter(guide * guide, r) / n - mean_i * mean_i
-    a = cov_ip / (var_i + eps)
+    a = cov_ip / (var_i + GUIDED_EPS)
     b = mean_p - a * mean_i
     mean_a = _box_filter(a, r) / n
     mean_b = _box_filter(b, r) / n
     return mean_a * guide + mean_b
 
 
-def guided_filter_color(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps: float = 1e-3) -> np.ndarray:
+def guided_filter_color(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Guided filter with a 3-channel guide (local affine model per window).
 
     Regressing the target on all three color channels lets the filter keep
@@ -75,7 +79,7 @@ def guided_filter_color(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps
     """
     if guide.ndim != 3 or guide.shape[2] != 3:
         raise FilterError("color guided filter needs an (H, W, 3) guide")
-    r = min(radius, (min(src.shape) - 1) // 2)
+    r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
     if r < 1:
         return src.copy()
     n = _box_filter(np.ones_like(src), r)
@@ -86,7 +90,7 @@ def guided_filter_color(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps
         [_box_filter(guide[:, :, c] * src, r) / n - means[:, :, c] * mean_p for c in range(3)],
         axis=-1,
     )
-    # symmetric 3x3 guide covariance per pixel, regularized by eps * I
+    # symmetric 3x3 guide covariance per pixel, regularized by GUIDED_EPS * I
     sigma = np.empty(src.shape + (3, 3))
     for c1 in range(3):
         for c2 in range(c1, 3):
@@ -96,9 +100,9 @@ def guided_filter_color(guide: np.ndarray, src: np.ndarray, radius: int = 4, eps
             )
             sigma[:, :, c1, c2] = cov
             sigma[:, :, c2, c1] = cov
-    sigma[:, :, 0, 0] += eps
-    sigma[:, :, 1, 1] += eps
-    sigma[:, :, 2, 2] += eps
+    sigma[:, :, 0, 0] += GUIDED_EPS
+    sigma[:, :, 1, 1] += GUIDED_EPS
+    sigma[:, :, 2, 2] += GUIDED_EPS
 
     a = np.linalg.solve(sigma, cov_ip[:, :, :, None])[:, :, :, 0]
     b = mean_p - np.einsum("ijc,ijc->ij", a, means)
@@ -111,7 +115,7 @@ def enhance(xd: Image, rgb: Image) -> Image:
     """RGB-guided smoothing plus unsharp masking, clamped to the input range.
 
     Stands in for the learned enhancement: one guided-filter pass
-    (radius 4, eps 1e-3, full color guide) suppresses propagation noise the
+    (GUIDED_RADIUS, GUIDED_EPS, full color guide) suppresses propagation noise the
     RGB image cannot explain, then unsharp masking with amount 0.5 restores
     edge contrast.
     """
@@ -119,9 +123,9 @@ def enhance(xd: Image, rgb: Image) -> Image:
         raise FilterError("enhance requires dimension-matched images")
     src = xd.data
     if rgb.channels == 3:
-        smoothed = guided_filter_color(rgb.data, src, radius=4, eps=1e-3)
+        smoothed = guided_filter_color(rgb.data, src)
     else:
-        smoothed = guided_filter(gray_array(rgb), src, radius=4, eps=1e-3)
+        smoothed = guided_filter(gray_array(rgb), src)
     sharp = smoothed + 0.5 * (smoothed - gaussian_filter(smoothed, sigma=1.0, mode="nearest"))
     out = np.clip(sharp, src.min(), src.max())
     return Image(out, units=xd.units)
@@ -426,13 +430,16 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix, grid: PatchGrid) ->
 
 
 def fine_densify(
-    rgb: Image,
+    aff: AffinityField,
     filtered: SparseMap,
     cm: ConfidenceMap,
     cfg: DensifyConfig | None = None,
 ) -> Image:
-    """Single-level re-densification from the filtered map with A-derived confidence."""
+    """Single-level re-densification from the filtered map with A-derived confidence.
+
+    `aff` is the frame's `compute_affinities` field, shared with the levels.
+    """
     cfg = cfg or DensifyConfig()
     if filtered.num_known == 0:
         raise DensifyError("filtered map has no known pixels")
-    return densify_level(rgb, filtered, cm, cfg)
+    return densify_level(aff, filtered, cm, cfg)

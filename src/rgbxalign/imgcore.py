@@ -117,10 +117,6 @@ class SparseMap:
         out = np.where(self.known, self.values, void_value)
         return out
 
-    @staticmethod
-    def empty(height: int, width: int) -> "SparseMap":
-        return SparseMap(np.zeros((height, width)), np.zeros((height, width), dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class ConfidenceMap:

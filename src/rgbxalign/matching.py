@@ -147,30 +147,23 @@ def zncc(a: np.ndarray, b: np.ndarray) -> float:
 class ClassicalBackend:
     """Deterministic cross-modal matcher.
 
-    Detects local gradient-energy maxima on a stride grid in the RGB frame
-    and searches the X frame within a window for the best ZNCC score of
-    16x16 gradient-orientation-weighted patches.
+    Detects local gradient-energy maxima above MIN_ENERGY, one per STRIDE
+    cell of the RGB frame, and searches the X frame within SEARCH_RADIUS px
+    for the best ZNCC score of PATCH x PATCH gradient-orientation-weighted
+    patches.
     """
 
-    def __init__(
-        self,
-        stride: int = 8,
-        search_radius: int = 32,
-        patch: int = 16,
-        min_energy: float = 1e-3,
-    ) -> None:
-        self.name = "classical"
-        self.stride = stride
-        self.search_radius = search_radius
-        self.patch = patch
-        self.min_energy = min_energy
+    STRIDE = 8
+    SEARCH_RADIUS = 32
+    PATCH = 16
+    MIN_ENERGY = 1e-3
 
     def match_pair(
         self, rgb: Image, x: Image, rgb_frame: str = "0", x_frame: str = "0"
     ) -> MatchSet:
         """Produce correspondences between an RGB frame and an X frame."""
-        half = self.patch // 2
-        if min(rgb.height, rgb.width, x.height, x.width) < self.patch + 2:
+        half = self.PATCH // 2
+        if min(rgb.height, rgb.width, x.height, x.width) < self.PATCH + 2:
             return MatchSet(
                 rgb_frame, x_frame,
                 np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
@@ -197,15 +190,15 @@ class ClassicalBackend:
     def _detect(self, energy: np.ndarray, half: int) -> list[tuple[int, int]]:
         height, width = energy.shape
         pts = []
-        for r0 in range(half, height - half, self.stride):
-            for c0 in range(half, width - half, self.stride):
-                cell = energy[r0 : min(r0 + self.stride, height - half),
-                              c0 : min(c0 + self.stride, width - half)]
+        for r0 in range(half, height - half, self.STRIDE):
+            for c0 in range(half, width - half, self.STRIDE):
+                cell = energy[r0 : min(r0 + self.STRIDE, height - half),
+                              c0 : min(c0 + self.STRIDE, width - half)]
                 if cell.size == 0:
                     continue
                 idx = int(np.argmax(cell))
                 dr, dc = divmod(idx, cell.shape[1])
-                if cell[dr, dc] > self.min_energy:
+                if cell[dr, dc] > self.MIN_ENERGY:
                     pts.append((r0 + dr, c0 + dc))
         return pts
 
@@ -218,7 +211,7 @@ class ClassicalBackend:
         if d_norm <= 1e-12:
             return None
         height, width = g_x.shape[:2]
-        rad = self.search_radius
+        rad = self.SEARCH_RADIUS
         r_lo = max(half, r - rad)
         r_hi = min(height - half, r + rad + 1)
         c_lo = max(half, c - rad)
@@ -227,15 +220,15 @@ class ClassicalBackend:
             return None
         region = g_x[r_lo - half : r_hi + half - 1, c_lo - half : c_hi + half - 1]
         windows = np.lib.stride_tricks.sliding_window_view(
-            region, (self.patch, self.patch), axis=(0, 1)
+            region, (self.PATCH, self.PATCH), axis=(0, 1)
         )
         # ZNCC from window sums: centered dot = cross - S1*mean(d),
         # centered norm^2 = S2 - S1^2/K. The plain einsum loop reads the
         # windows in place; optimize=True would copy every window out first
         cross = np.einsum("abcij,ijc->ab", windows, desc)
         k = desc.size
-        s1 = _window_sums(region.sum(axis=2), self.patch)
-        s2 = _window_sums((region * region).sum(axis=2), self.patch)
+        s1 = _window_sums(region.sum(axis=2), self.PATCH)
+        s2 = _window_sums((region * region).sum(axis=2), self.PATCH)
         var = np.maximum(s2 - s1 * s1 / k, 0.0)
         denom = np.sqrt(var) * d_norm
         with np.errstate(invalid="ignore", divide="ignore"):

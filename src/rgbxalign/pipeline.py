@@ -16,14 +16,14 @@ import logging
 import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fuse_filter, metrics
 from .colmap import ColmapModel, write_colmap_model
-from .densify import DensifyConfig, densify_multilevel
+from .densify import DensifyConfig, compute_affinities, densify_multilevel
 from .errors import DensifyError, EstimationFailedError, PipelineError, RgbxError
 from .imgcore import Image, Mask, load_image, save_image
 from .matching import (
@@ -55,20 +55,13 @@ class PipelineConfig:
     backend: str = "oracle"
     seed: int = 0
     window: int = 7  # accumulate X keypoints from frames n-3 .. n+3
-    tau: float = 0.1
-    lam: float = 0.1
-    area_rate: float = 0.05
-    area_conf: float = 0.3
-    patch_size: int = 32
     densify: DensifyConfig = field(default_factory=DensifyConfig)
-    ransac_thresh: float = 2.0
     ransac_iters: int = 500
     oracle_count: int = 3000
     oracle_sigma: float = 0.0
     oracle_outliers: float = 0.0
     oracle_rho: float = 1.0
     oracle_skip_homogeneous: bool = False
-    oracle_homog_outlier_boost: float = 1.0
     use_matching_confidence: bool = True
     enable_area_sampling: bool = True
     enable_filtering: bool = True
@@ -81,29 +74,39 @@ class PipelineConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         # a bad value would otherwise raise inside every frame and abort the run
-        AreaSampleConfig(self.area_rate, self.area_conf)
-        if self.tau <= 0 or self.lam < 0:
-            raise ValueError("tau must be > 0 and lam >= 0")
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be >= 1")
-        if self.ransac_thresh <= 0 or self.ransac_iters < 1:
-            raise ValueError("ransac_thresh must be > 0 and ransac_iters >= 1")
+        if self.ransac_iters < 1:
+            raise ValueError("ransac_iters must be >= 1")
         if self.oracle_count < 1:
             raise ValueError("oracle_count must be >= 1")
         if isinstance(self.densify, dict):
             d = dict(self.densify)
             if "thresholds" in d:
                 d["thresholds"] = tuple(d["thresholds"])
-            if "radii" in d:
-                d["radii"] = tuple(d["radii"])
             self.densify = DensifyConfig(**d)
+        if not isinstance(self.densify, DensifyConfig):
+            raise ValueError("densify must be a DensifyConfig or an object of its fields")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_json(payload: dict) -> "PipelineConfig":
-        return PipelineConfig(**payload)
+        """Build a config from its JSON form, as read from a `--config` file.
+
+        Unknown keys (at the top level and in `densify`) and values the
+        config rejects raise PipelineError naming them.
+        """
+        unknown = sorted(set(payload) - {f.name for f in fields(PipelineConfig)})
+        densify = payload.get("densify")
+        if isinstance(densify, dict):
+            known = {f.name for f in fields(DensifyConfig)}
+            unknown += [f"densify.{k}" for k in sorted(set(densify) - known)]
+        if unknown:
+            raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
+        try:
+            return PipelineConfig(**payload)
+        except (TypeError, ValueError) as exc:
+            raise PipelineError(f"bad config: {exc}") from exc
 
 
 @dataclass
@@ -158,7 +161,6 @@ class _OracleAdapter:
     """Serves ground-truth matches from a benchmark bundle."""
 
     def __init__(self, bundle: GroundTruthBundle, noise: NoiseModel, count: int, seed: int):
-        self.name = "oracle"
         self.bundle = bundle
         self.noise = noise
         self.count = count
@@ -176,7 +178,6 @@ class _FileAdapter:
     """Loads cached or externally produced match files."""
 
     def __init__(self, matches_dir: Path):
-        self.name = "file"
         self.matches_dir = matches_dir
 
     def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
@@ -199,7 +200,6 @@ class _RunContext:
     masks: dict[str, Path]
     backend: object
     out_dir: Path
-    bundle: GroundTruthBundle | None = None
 
 
 def _load_context(cfg: PipelineConfig) -> _RunContext:
@@ -228,10 +228,9 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
             outlier_fraction=cfg.oracle_outliers,
             rho=cfg.oracle_rho,
             skip_homogeneous=cfg.oracle_skip_homogeneous,
-            homogeneous_outlier_boost=cfg.oracle_homog_outlier_boost,
         )
         backend = _OracleAdapter(bundle, noise, cfg.oracle_count, cfg.seed)
-        unknown = [fid for fid in frame_ids if fid not in backend.index]
+        unknown = sorted((set(frame_ids) | set(x)) - set(backend.index))
         if unknown:
             raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
     elif cfg.backend == "classical":
@@ -241,16 +240,20 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
 
     out_dir = Path(cfg.output_dir)
     (out_dir / "x_final").mkdir(parents=True, exist_ok=True)
-    return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir, bundle)
+    return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir)
 
 
 def _window_ids(ctx: _RunContext, n: int) -> list[str]:
+    """The X frames matched against RGB frame n.
+
+    The window spans window // 2 ids either side of frame n's id, counted
+    over the sorted ids of every RGB and X frame present, so a frame missing
+    from one sensor neither widens nor shifts its neighbors' windows.
+    """
+    ids = sorted(set(ctx.frame_ids) | set(ctx.x))
+    k = ids.index(ctx.frame_ids[n])
     half = ctx.cfg.window // 2
-    ids = []
-    for m in range(n - half, n + half + 1):
-        if 0 <= m < len(ctx.frame_ids) and ctx.frame_ids[m] in ctx.x:
-            ids.append(ctx.frame_ids[m])
-    return ids
+    return [m for m in ids[max(0, k - half) : k + half + 1] if m in ctx.x]
 
 
 def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
@@ -278,7 +281,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     center = sets[window.index(fid)] if fid in window else sets[len(sets) // 2]
     try:
         hom, _ = estimate_homography(
-            center, cfg.ransac_thresh, cfg.ransac_iters, seed=stage_seed(cfg.seed, n, 1)
+            center, max_iters=cfg.ransac_iters, seed=stage_seed(cfg.seed, n, 1)
         )
     except EstimationFailedError as exc:
         hom = Homography.identity()
@@ -291,7 +294,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         if mask is not None:
             sparse, conf = area_sample(
                 sparse, conf, warped, validity, mask,
-                AreaSampleConfig(cfg.area_rate, cfg.area_conf, seed=stage_seed(cfg.seed, n, 2)),
+                AreaSampleConfig(seed=stage_seed(cfg.seed, n, 2)),
             )
         else:
             rec.warnings.append("no area mask available; area sampling skipped")
@@ -299,7 +302,8 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     dcfg = cfg.densify if cfg.use_matching_confidence else replace(cfg.densify, use_confidence=False)
     certainty: dict[float, float] = {}
     try:
-        levels = densify_multilevel(rgb, sparse, conf, dcfg, certainty)
+        aff = compute_affinities(rgb)
+        levels = densify_multilevel(aff, sparse, conf, dcfg, certainty)
     except DensifyError as exc:
         rec.status = "fallback"
         rec.fallback = "homography-warp"
@@ -323,21 +327,21 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     x_final = fused
     if cfg.enable_filtering:
         try:
-            grid = fuse_filter.PatchGrid(shape[0], shape[1], cfg.patch_size)
+            grid = fuse_filter.PatchGrid(shape[0], shape[1])
             f_rgb = fuse_filter.patch_descriptors(rgb, grid)
             f_x = fuse_filter.patch_descriptors(fused, grid)
-            sim = fuse_filter.similarity_matrix(f_rgb, f_x, cfg.tau)
-            rec.lsim_before = fuse_filter.self_match_score(sim, cfg.lam)
+            sim = fuse_filter.similarity_matrix(f_rgb, f_x)
+            rec.lsim_before = fuse_filter.self_match_score(sim)
             result = fuse_filter.concentration_and_filter(fused, sim, grid)
             rec.q = result.q
             rec.threshold = result.threshold
             rec.rejected = int(result.rejected_patches.sum())
             if result.degenerate:
                 rec.warnings.append("self-match degenerate; nothing rejected")
-            x_final = fuse_filter.fine_densify(rgb, result.sparse, result.conf, dcfg)
+            x_final = fuse_filter.fine_densify(aff, result.sparse, result.conf, dcfg)
             f_after = fuse_filter.patch_descriptors(x_final, grid)
             rec.lsim_after = fuse_filter.self_match_score(
-                fuse_filter.similarity_matrix(f_rgb, f_after, cfg.tau), cfg.lam
+                fuse_filter.similarity_matrix(f_rgb, f_after)
             )
         except (DensifyError, RgbxError) as exc:
             rec.status = "fallback"
@@ -438,7 +442,7 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
         fm.psnr = metrics.psnr(img, gt)
         fm.ssim = metrics.ssim(img, gt)
         fm.mae, fm.rmse = metrics.mae_rmse(img, gt)
-        grid = fuse_filter.PatchGrid(img.shape[0], img.shape[1], bundle.cfg.patch_size)
+        grid = fuse_filter.PatchGrid(img.shape[0], img.shape[1])
         sim = fuse_filter.similarity_matrix(
             fuse_filter.patch_descriptors(bundle.rgb[idx], grid),
             fuse_filter.patch_descriptors(img, grid),

@@ -27,7 +27,3 @@ def quantile(values: np.ndarray | Sequence[float], p: float) -> float:
     frac = h - lo
     return float(ordered[lo] + (ordered[hi] - ordered[lo]) * frac)
 
-
-def percentile(values: np.ndarray | Sequence[float], pct: float) -> float:
-    """Same convention with the level given in percent."""
-    return quantile(values, pct / 100.0)

@@ -18,7 +18,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,22 @@ _ALPHA_HI = 0.98
 # Masked-RMSE budget for one extra bilinear resampling step on our textures.
 BILINEAR_BOUND = 0.02
 
+# Fixed scene properties. Texture gain of the value-noise structure, and how
+# far the constant X value of a homogeneous blob sits from mid-scale.
+_TEXTURE_DENSITY = 1.0
+_HOMOGENEOUS_CONTRAST = 1.0
+# Per-frame camera motion: rotation (deg), shift (px) and perspective drawn
+# uniformly within these ranges; the X sensor's own jitter takes a quarter of
+# the rotation and perspective range and _SENSOR_JITTER px of shift.
+_ROTATION_RANGE_DEG = 1.0
+_SHIFT_RANGE = 3.0
+_PERSPECTIVE_RANGE = 1.0e-4
+_SENSOR_JITTER = 0.6
+# Camera track advance per frame and the RGB->X sensor baseline, in units
+# that a layer's disparity scales to pixels.
+_TRACK_STEP = 0.6
+_SENSOR_BASELINE = 1.0
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -50,17 +66,8 @@ class SceneConfig:
     modality: str = "thermal-like"
     layers: int = 2
     layer_disparities: tuple[float, ...] = (0.0, 8.0)
-    texture_density: float = 1.0
     homogeneous_fraction: float = 0.15
-    homogeneous_contrast: float = 1.0  # how far blob X values sit from mid-scale
-    rotation_range_deg: float = 1.0
-    shift_range: float = 3.0
-    perspective_range: float = 1.0e-4
-    track_step: float = 0.6
-    sensor_baseline: float = 1.0
-    sensor_jitter: float = 0.6
     corrupt_patch_fraction: float = 0.0
-    patch_size: int = 32
 
     def __post_init__(self) -> None:
         if self.size < 64:
@@ -75,10 +82,6 @@ class SceneConfig:
             raise ValueError("layer disparities must be distinct")
         if not 0.0 <= self.homogeneous_fraction < 0.9:
             raise ValueError("homogeneous_fraction out of range")
-        if not 0.0 <= self.homogeneous_contrast <= 1.0:
-            raise ValueError("homogeneous_contrast out of range")
-        if not 1 <= self.patch_size <= self.size:
-            raise ValueError("patch_size must lie in [1, size]")
 
 
 @dataclass(frozen=True)
@@ -89,10 +92,6 @@ class NoiseModel:
     outlier_fraction: float = 0.0
     rho: float = 1.0  # confidence fidelity: 1 = confidence tracks correctness
     skip_homogeneous: bool = False  # emulate matchers failing on texture-less areas
-    # real matchers go wrong mostly where texture is poor: scale the outlier
-    # probability inside the area-mask regions by this factor, renormalizing
-    # outside so the overall fraction stays as configured
-    homogeneous_outlier_boost: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
@@ -100,8 +99,6 @@ class NoiseModel:
         for frac in (self.outlier_fraction, self.rho):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
-        if self.homogeneous_outlier_boost < 1.0:
-            raise ValueError("homogeneous_outlier_boost must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,6 @@ def _disk_mask(shape: tuple[int, int], center: tuple[float, float], radius: floa
 def _build_background(
     rng: np.random.Generator, world: int, cfg: SceneConfig, margin: int
 ) -> tuple[_Layer, np.ndarray]:
-    density = cfg.texture_density
     shape = (world, world)
     # one shared structure field with per-channel gains plus a touch of
     # chroma variation: real scenes' edges are mostly achromatic
@@ -190,7 +186,7 @@ def _build_background(
     channels = []
     for ch in range(3):
         chroma = _value_noise(rng, shape, cell=96, octaves=1)
-        base = 0.45 + density * 0.5 * gains[ch] * (structure - 0.5)
+        base = 0.45 + _TEXTURE_DENSITY * 0.5 * gains[ch] * (structure - 0.5)
         channels.append(np.clip(base + 0.08 * (chroma - 0.5), 0.0, 1.0))
     rgb = np.stack(channels, axis=-1)
 
@@ -210,7 +206,7 @@ def _build_background(
     target = cfg.homogeneous_fraction * window_area
     covered = 0.0
     mid = 0.48
-    levels = tuple(mid + cfg.homogeneous_contrast * (v - mid) for v in (0.08, 0.88, 0.16, 0.8))
+    levels = tuple(mid + _HOMOGENEOUS_CONTRAST * (v - mid) for v in (0.08, 0.88, 0.16, 0.8))
     attempt = 0
     while covered < target and attempt < 64:
         radius = rng.uniform(cfg.size * 0.12, cfg.size * 0.22)
@@ -245,7 +241,7 @@ def _build_foreground(
     structure = _value_noise(rng, shape, cell=14, octaves=3)
     palette = rng.uniform(0.3, 0.9, size=3)
     rgb = np.clip(
-        palette[None, None, :] * (0.55 + cfg.texture_density * 0.6 * (structure[:, :, None] - 0.5)),
+        palette[None, None, :] * (0.55 + _TEXTURE_DENSITY * 0.6 * (structure[:, :, None] - 0.5)),
         0.0,
         1.0,
     )
@@ -426,16 +422,16 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
     """Generate a seeded scene bundle; bit-identical for identical configs."""
     rng = np.random.default_rng(np.random.SeedSequence((0x5CE11E, cfg.seed)))
     size = cfg.size
-    rho = np.array(cfg.layer_disparities) / cfg.sensor_baseline
-    u = (np.arange(cfg.frames) - (cfg.frames - 1) / 2.0) * cfg.track_step
+    rho = np.array(cfg.layer_disparities) / _SENSOR_BASELINE
+    u = (np.arange(cfg.frames) - (cfg.frames - 1) / 2.0) * _TRACK_STEP
 
     margin = int(
         math.ceil(
-            cfg.shift_range
-            + math.sin(math.radians(cfg.rotation_range_deg)) * size * 0.75
-            + cfg.perspective_range * (size / 2.0) ** 2
-            + np.abs(rho).max() * (np.abs(u).max() + abs(cfg.sensor_baseline))
-            + cfg.sensor_jitter
+            _SHIFT_RANGE
+            + math.sin(math.radians(_ROTATION_RANGE_DEG)) * size * 0.75
+            + _PERSPECTIVE_RANGE * (size / 2.0) ** 2
+            + np.abs(rho).max() * (np.abs(u).max() + abs(_SENSOR_BASELINE))
+            + _SENSOR_JITTER
             + 8.0
         )
     )
@@ -452,17 +448,15 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
     q_list = []
     for _ in range(cfg.frames):
         g_list.append(
-            _camera_homography(
-                rng, cfg.rotation_range_deg, cfg.shift_range, cfg.perspective_range, center
-            )
+            _camera_homography(rng, _ROTATION_RANGE_DEG, _SHIFT_RANGE, _PERSPECTIVE_RANGE, center)
             @ to_frame
         )
         q_list.append(
             _camera_homography(
                 rng,
-                cfg.rotation_range_deg * 0.25,
-                cfg.sensor_jitter,
-                cfg.perspective_range * 0.25,
+                _ROTATION_RANGE_DEG * 0.25,
+                _SENSOR_JITTER,
+                _PERSPECTIVE_RANGE * 0.25,
                 center,
             )
         )
@@ -474,7 +468,7 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
         per_x = []
         for l in range(cfg.layers):
             track = _translation(0.0, rho[l] * u[n])
-            track_x = _translation(0.0, rho[l] * (u[n] + cfg.sensor_baseline))
+            track_x = _translation(0.0, rho[l] * (u[n] + _SENSOR_BASELINE))
             per_rgb.append(g_list[n] @ track)
             per_x.append(q_list[n] @ g_list[n] @ track_x)
         maps_rgb.append(tuple(per_rgb))
@@ -557,7 +551,7 @@ def _corruption_mask(cfg: SceneConfig, seed: int, x_ref: np.ndarray) -> Mask:
     patches keeps the injected defects meaningful.
     """
     rng = np.random.default_rng(seed)
-    grid = PatchGrid(cfg.size, cfg.size, cfg.patch_size)
+    grid = PatchGrid(cfg.size, cfg.size)
     total = grid.patches
     k = max(1, math.ceil(cfg.corrupt_patch_fraction * total))
     stds = np.array([x_ref[grid.bounds(i)].std() for i in range(total)])
@@ -634,14 +628,7 @@ def oracle_match(
     truth = coords[chosen[:, 0], chosen[:, 1]]
 
     height, width = bundle.shape
-    p_out = np.full(k, noise.outlier_fraction)
-    if noise.homogeneous_outlier_boost > 1.0 and noise.outlier_fraction > 0.0:
-        in_homog = bundle.area_masks[i].bits[chosen[:, 0], chosen[:, 1]]
-        share = float(in_homog.mean())
-        p_in = min(0.95, noise.outlier_fraction * noise.homogeneous_outlier_boost)
-        p_rest = (noise.outlier_fraction - share * p_in) / max(1.0 - share, 1e-9)
-        p_out = np.where(in_homog, p_in, max(0.0, p_rest))
-    is_outlier = rng.random(k) < p_out
+    is_outlier = rng.random(k) < noise.outlier_fraction
     eps = rng.normal(0.0, noise.sigma, size=(k, 2)) if noise.sigma > 0 else np.zeros((k, 2))
     eps = np.clip(eps, -3.0 * noise.sigma, 3.0 * noise.sigma)
     p_x = truth + eps
@@ -743,8 +730,19 @@ def load_bundle(in_dir: str | Path) -> GroundTruthBundle:
     if not meta.exists():
         raise RgbxError(f"{in_dir}: not a benchmark bundle (missing gt/meta)")
     raw = json.loads(meta.read_text())
-    raw["layer_disparities"] = tuple(raw["layer_disparities"])
-    return _regenerate(SceneConfig(**raw))
+    unknown = sorted(set(raw) - {f.name for f in fields(SceneConfig)})
+    if unknown:
+        raise RgbxError(
+            f"{meta}: unknown scene config keys {unknown}; "
+            "regenerate the bundle with `rgbxalign synth`"
+        )
+    try:
+        if "layer_disparities" in raw:
+            raw["layer_disparities"] = tuple(raw["layer_disparities"])
+        cfg = SceneConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise RgbxError(f"{meta}: bad scene config ({exc})") from exc
+    return _regenerate(cfg)
 
 
 @functools.lru_cache(maxsize=1)

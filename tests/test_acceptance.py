@@ -110,7 +110,7 @@ def test_criterion_02_anchoring_and_degeneration(rng):
         if counts.sum() == 0:
             counts[0, 0] = 1
         sp = SparseMap(rng.random((16, 16)) * counts, counts)
-        aff = compute_affinities(Image(rng.random((16, 16, 3))), cfg)
+        aff = compute_affinities(Image(rng.random((16, 16, 3))))
         cs = certainty_map(sp)
         mine = propagate(init_dense(sp), aff, sp, cs, ConfidenceMap(np.ones((16, 16))), cfg)
         ref = reference_recurrence(init_dense(sp).data, aff,
@@ -180,7 +180,8 @@ def test_criterion_05_self_matching_filter(workdir):
                 fuse_filter.patch_descriptors(corrupted, grid),
             )
             res = fuse_filter.concentration_and_filter(corrupted, sim, grid)
-            fine = fuse_filter.fine_densify(bundle.rgb[n], res.sparse, res.conf, DensifyConfig())
+            fine = fuse_filter.fine_densify(compute_affinities(bundle.rgb[n]), res.sparse, res.conf,
+                                            DensifyConfig())
             bad = np.array([bundle.corruption_masks[n].bits[grid.bounds(i)].mean() > 0.5
                             for i in range(grid.patches)])
             recalls.append(res.rejected_patches[bad].mean())

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rgbxalign.densify import (
+    OFFSETS,
     AffinityField,
     DensifyConfig,
     certainty_map,
     compute_affinities,
     densify_multilevel,
     init_dense,
-    offset_list,
     propagate,
     reach,
     threshold_sparse,
@@ -63,16 +63,14 @@ class TestAffinities:
         img = np.zeros((16, 16, 3))
         img[:, 8:] = 1.0
         aff = compute_affinities(Image(img))
-        offsets = offset_list(DensifyConfig())
-        across = offsets.index((0, 1))
-        along = offsets.index((1, 0))
+        across = OFFSETS.index((0, 1))
+        along = OFFSETS.index((1, 0))
         # at a pixel just left of the step, weight across < weight along
         assert aff.weights[across, 8, 7] < aff.weights[along, 8, 7]
 
     def test_out_of_bounds_zero(self, rng):
         aff = compute_affinities(Image(rng.random((10, 10, 3))))
-        offsets = offset_list(DensifyConfig())
-        up = offsets.index((-1, 0))
+        up = OFFSETS.index((-1, 0))
         assert aff.weights[up, 0, 5] == 0.0
 
     def test_invariant_enforced(self):
@@ -132,7 +130,7 @@ class TestPropagate:
         counts[16, 16] = 1
         sp = SparseMap(values, counts)
         cfg = DensifyConfig(iterations=200, tol=0.0)
-        aff = compute_affinities(Image(np.full((32, 32, 3), 0.5)), cfg)
+        aff = compute_affinities(Image(np.full((32, 32, 3), 0.5)))
         out = propagate(init_dense(sp), aff, sp, certainty_map(sp),
                         ConfidenceMap(counts.astype(float)), cfg)
         assert np.abs(out.data - 1.0).max() < 0.01
@@ -189,7 +187,7 @@ class TestPropagate:
         )
         cfg = DensifyConfig(tol=0.0)
         steps: list[float] = []
-        propagate(init_dense(sp), compute_affinities(small_bundle.rgb[1], cfg), sp,
+        propagate(init_dense(sp), compute_affinities(small_bundle.rgb[1]), sp,
                   certainty_map(sp), conf, cfg, step_sizes=steps)
         for i in range(3, len(steps) - 1):
             assert steps[i + 1] <= steps[i] * 1.05 + 1e-12
@@ -207,7 +205,7 @@ class TestPropagate:
         gt = small_bundle.x_gt[n]
         l0 = init_dense(sp)
         cfg = DensifyConfig()
-        out = propagate(l0, compute_affinities(small_bundle.rgb[n], cfg), sp,
+        out = propagate(l0, compute_affinities(small_bundle.rgb[n]), sp,
                         certainty_map(sp), conf, cfg)
         assert psnr(out, gt) >= psnr(l0, gt)
 
@@ -217,7 +215,7 @@ class TestMultilevel:
         sp = random_sparse(rng, (16, 16), 0.3)
         conf = ConfidenceMap(sp.known.astype(float))
         rgb = Image(rng.random((16, 16, 3)))
-        levels = densify_multilevel(rgb, sp, conf, DensifyConfig(iterations=6))
+        levels = densify_multilevel(compute_affinities(rgb), sp, conf, DensifyConfig(iterations=6))
         assert list(levels) == [0.15, 0.3, 0.5]
         first = levels[0.15].data
         for img in levels.values():
@@ -226,7 +224,7 @@ class TestMultilevel:
     def test_level_omitted_above_max_conf(self, rng):
         sp = random_sparse(rng, (16, 16), 0.3)
         conf = ConfidenceMap(np.where(sp.known, 0.4, 0.0))
-        levels = densify_multilevel(Image(rng.random((16, 16, 3))), sp, conf,
+        levels = densify_multilevel(compute_affinities(Image(rng.random((16, 16, 3)))), sp, conf,
                                     DensifyConfig(iterations=4))
         assert list(levels) == [0.15, 0.3]
 
@@ -234,14 +232,14 @@ class TestMultilevel:
         sp = random_sparse(rng, (16, 16), 0.2)
         conf = ConfidenceMap(np.where(sp.known, 0.1, 0.0))
         with pytest.raises(DensifyError):
-            densify_multilevel(Image(rng.random((16, 16, 3))), sp, conf,
+            densify_multilevel(compute_affinities(Image(rng.random((16, 16, 3)))), sp, conf,
                                DensifyConfig(thresholds=(0.2, 0.5), iterations=4))
 
     def test_certainty_reported_per_level(self, rng):
         sp = random_sparse(rng, (16, 16), 0.3)
         conf = ConfidenceMap(np.where(sp.known, 0.4, 0.0))
         certainty = {}
-        levels = densify_multilevel(Image(rng.random((16, 16, 3))), sp, conf,
+        levels = densify_multilevel(compute_affinities(Image(rng.random((16, 16, 3)))), sp, conf,
                                     DensifyConfig(iterations=4), certainty)
         assert list(certainty) == list(levels) == [0.15, 0.3]
         assert all(0.0 < c <= 0.4 for c in certainty.values())
@@ -250,7 +248,7 @@ class TestMultilevel:
         sp = random_sparse(rng, (16, 16), 0.3)
         conf = ConfidenceMap(np.where(sp.known, 0.4, 0.0))
         certainty = {}
-        levels = densify_multilevel(Image(rng.random((16, 16, 3))), sp, conf,
+        levels = densify_multilevel(compute_affinities(Image(rng.random((16, 16, 3)))), sp, conf,
                                     DensifyConfig(thresholds=(0.15, 0.5), iterations=4),
                                     certainty)
         assert list(levels) == [0.15] and certainty == {}
@@ -271,15 +269,13 @@ def test_config_validation():
         DensifyConfig(thresholds=(0.5, 0.3))
     with pytest.raises(ValueError):
         DensifyConfig(iterations=0)
-    with pytest.raises(ValueError):
-        DensifyConfig(sigma_color=0.0)
 
 
 class TestReach:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.cfg = DensifyConfig(iterations=8)
-        self.aff = compute_affinities(Image(rng.random((32, 32, 3))), self.cfg)
+        self.aff = compute_affinities(Image(rng.random((32, 32, 3))))
         self.dense = random_sparse(rng, (32, 32), 0.2)
 
     def mean_reach(self, sparse, conf_value, cfg=None):

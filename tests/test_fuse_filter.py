@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from rgbxalign.densify import compute_affinities
 from rgbxalign.errors import FilterError
 from rgbxalign.fuse_filter import (
     FeatureMatrix,
@@ -295,7 +296,7 @@ class TestFineDensify:
         sim = SimilarityMatrix(np.diag(np.full(grid.patches, 8.0)), tau=0.1)
         res = concentration_and_filter(xd, sim, grid)
         assert not res.rejected_patches.any()
-        out = fine_densify(rgb, res.sparse, res.conf, DensifyConfig())
+        out = fine_densify(compute_affinities(rgb), res.sparse, res.conf, DensifyConfig())
         assert np.mean(np.abs(out.data - xd.data)) < 0.02
 
     def test_empty_filtered_fails(self, rng):
@@ -305,7 +306,7 @@ class TestFineDensify:
 
         with pytest.raises(DensifyError):
             fine_densify(
-                Image(rng.random((32, 32, 3))),
+                compute_affinities(Image(rng.random((32, 32, 3)))),
                 SparseMap(np.zeros((32, 32)), np.zeros((32, 32), dtype=int)),
                 ConfidenceMap(np.zeros((32, 32))),
                 DensifyConfig(),

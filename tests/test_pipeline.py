@@ -13,6 +13,8 @@ from rgbxalign.pipeline import (
     FrameRecord,
     PipelineConfig,
     RunManifest,
+    _load_context,
+    _window_ids,
     evaluate_run,
     export_dataset,
     run_pipeline,
@@ -99,6 +101,27 @@ class TestRun:
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
         warned = [w for f in manifest.frames for w in f.warnings if "window" in w]
         assert warned
+
+    def test_windows_follow_frame_ids(self, bench_dir, tmp_path):
+        import shutil
+
+        partial = tmp_path / "partial"
+        shutil.copytree(bench_dir, partial)
+        (partial / "rgb" / "0003.png").unlink()
+        ctx = _load_context(fast_config(partial, tmp_path / "out", window=3))
+        windows = {fid: _window_ids(ctx, n) for n, fid in enumerate(ctx.frame_ids)}
+        assert windows["0002"] == ["0001", "0002", "0003"]
+        assert windows["0004"] == ["0003", "0004", "0005"]
+        assert windows["0005"] == ["0004", "0005"]
+
+    def test_stray_x_frame_rejected(self, bench_dir, tmp_path):
+        import shutil
+
+        extra = tmp_path / "extra"
+        shutil.copytree(bench_dir, extra)
+        shutil.copyfile(extra / "x_raw" / "0005.png", extra / "x_raw" / "0006.png")
+        with pytest.raises(PipelineError, match="0006"):
+            run_pipeline(fast_config(extra, tmp_path / "out"))
 
     def test_file_backend(self, bench_dir, tmp_path):
         from rgbxalign.matching import save_matchset
@@ -247,20 +270,32 @@ class TestCli:
             PipelineConfig(window=4)
 
     @pytest.mark.parametrize("cls, kwargs", [
-        (PipelineConfig, dict(area_rate=0.0)),
-        (PipelineConfig, dict(area_conf=1.5)),
-        (PipelineConfig, dict(tau=0.0)),
-        (PipelineConfig, dict(lam=-0.1)),
-        (PipelineConfig, dict(patch_size=0)),
-        (PipelineConfig, dict(ransac_thresh=0.0)),
-        (PipelineConfig, dict(ransac_iters=0)),
-        (PipelineConfig, dict(oracle_count=0)),
-        (SceneConfig, dict(size=64, patch_size=0)),
-        (SceneConfig, dict(size=64, patch_size=65)),
+        pytest.param(PipelineConfig, dict(ransac_iters=0), id="ransac_iters"),
+        pytest.param(PipelineConfig, dict(oracle_count=0), id="oracle_count"),
     ])
     def test_invalid_config_rejected_up_front(self, cls, kwargs):
         with pytest.raises(ValueError):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("config, named", [
+        ({"tau": 0.2}, "tau"),
+        ({"densify": {"radii": [1, 2]}}, "densify.radii"),
+        ({"densify": [0.2]}, "densify"),
+        ({"window": 4}, "window"),
+    ])
+    def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
+                         "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_run_rejects_missing_config_file(self, bench_dir, tmp_path, capsys):
+        code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
+                         "--config", str(tmp_path / "missing.json")])
+        assert code == 2 and "missing.json" in capsys.readouterr().err
 
 
 def test_manifest_failed_count():

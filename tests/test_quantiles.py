@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgbxalign.quantiles import percentile, quantile
+from rgbxalign.quantiles import quantile
 
 
 def brute_force_quantile(values, p):
@@ -42,11 +42,6 @@ def test_errors():
         quantile([], 0.5)
     with pytest.raises(ValueError):
         quantile([1.0], 1.5)
-
-
-def test_percentile_alias():
-    vals = np.arange(10, dtype=float)
-    assert percentile(vals, 30) == quantile(vals, 0.3)
 
 
 @given(

@@ -1,9 +1,11 @@
 """Benchmark generator: determinism, ground-truth consistency, oracle, metric."""
 
+import json
+
 import numpy as np
 import pytest
 
-from rgbxalign.errors import MetricError
+from rgbxalign.errors import MetricError, RgbxError
 from rgbxalign.fuse_filter import PatchGrid
 from rgbxalign.imgcore import Image, bilinear_sample
 from rgbxalign.synthbench import (
@@ -153,8 +155,7 @@ class TestCorruption:
         assert 0.05 <= frac <= 0.2
 
     def test_masks_are_whole_cells_on_a_remainder_grid(self):
-        bundle = gen_sequence(SceneConfig(seed=4, size=100, frames=4, patch_size=32,
-                                          corrupt_patch_fraction=0.2))
+        bundle = gen_sequence(SceneConfig(seed=4, size=100, frames=4, corrupt_patch_fraction=0.2))
         grid = PatchGrid(100, 100, 32)
         touches_edge = False
         for mask in bundle.corruption_masks:
@@ -196,6 +197,15 @@ class TestPersistence:
         for arr in (other.layer_maps[0], other.alphas_rgb[0], other.maps_x[1][0], other.rgb[0].data):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+    def test_meta_with_unknown_keys_rejected(self, tmp_path):
+        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
+        meta = tmp_path / "b" / "gt" / "meta"
+        raw = json.loads(meta.read_text())
+        raw["sensor_jitter"] = 0.6  # a field of bundles written by older versions
+        meta.write_text(json.dumps(raw))
+        with pytest.raises(RgbxError, match="sensor_jitter"):
+            load_bundle(tmp_path / "b")
 
     def test_homography_file_layout(self, tmp_path):
         bundle = gen_sequence(SceneConfig(seed=17, size=64, frames=2))
