@@ -108,10 +108,12 @@ def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
     """arr sampled at (row+dr, col+dc), zero outside."""
     height, width = arr.shape
     out = np.zeros_like(arr)
-    src_r = slice(max(0, dr), min(height, height + dr))
-    dst_r = slice(max(0, -dr), min(height, height - dr))
-    src_c = slice(max(0, dc), min(width, width + dc))
-    dst_c = slice(max(0, -dc), min(width, width - dc))
+    # the ends are clamped at 0 so that a shift longer than the raster
+    # selects nothing instead of counting from the far end
+    src_r = slice(max(0, dr), min(height, max(0, height + dr)))
+    dst_r = slice(max(0, -dr), min(height, max(0, height - dr)))
+    src_c = slice(max(0, dc), min(width, max(0, width + dc)))
+    dst_c = slice(max(0, -dc), min(width, max(0, width - dc)))
     out[dst_r, dst_c] = arr[src_r, src_c]
     return out
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationFailedError, MatchingError
-from .imgcore import ConfidenceMap, Image, Mask, SparseMap, _window_sums, bilinear_sample, gray_array
+from .imgcore import ConfidenceMap, Image, Mask, SparseMap, bilinear_sample, gray_array
 
 logger = logging.getLogger(__name__)
 
@@ -144,6 +144,18 @@ def zncc(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / denom)
 
 
+def _box_sums(arr: np.ndarray, win: int) -> np.ndarray:
+    """Sum over every win x win window (valid positions) of a 2-D array.
+
+    Each sum adds the window's own values, row slabs first, so a nearly
+    constant window keeps its variance; differencing running sums over the
+    whole raster would lose it to cancellation.
+    """
+    height, width = arr.shape
+    rows = sum(arr[i : height - win + 1 + i] for i in range(win))
+    return sum(rows[:, j : width - win + 1 + j] for j in range(win))
+
+
 class ClassicalBackend:
     """Deterministic cross-modal matcher.
 
@@ -151,6 +163,15 @@ class ClassicalBackend:
     cell of the RGB frame, and searches the X frame within SEARCH_RADIUS px
     for the best ZNCC score of PATCH x PATCH gradient-orientation-weighted
     patches.
+
+    The cross term of every search position comes from BLAS matrix products
+    over a table of the X frame's column windows (see `_search`); the
+    window sums and sums of squares of the X frame are computed once per
+    pair by direct summation. The table is built for one band of STRIDE
+    keypoint rows at a time: at most STRIDE + 2 * SEARCH_RADIUS + PATCH - 1
+    = 87 X rows, each holding width - PATCH + 1 windows of 2 * PATCH values,
+    so it takes 87 * 32 * 8 B = 22 KiB per column of the X frame (22 MiB at
+    1024 columns) whatever the frame's height.
     """
 
     STRIDE = 8
@@ -172,11 +193,20 @@ class ClassicalBackend:
         g_rgb = _orientation_channels(gray_array(rgb))
         g_x = _orientation_channels(gray_array(x))
         energy = np.hypot(g_rgb[:, :, 0], g_rgb[:, :, 1])
+        # centered norm of every PATCH x PATCH window of X, indexed by the
+        # window's top-left pixel: sqrt(S2 - S1^2/K) over its K values
+        s1 = _box_sums(g_x.sum(axis=2), self.PATCH)
+        s2 = _box_sums((g_x * g_x).sum(axis=2), self.PATCH)
+        spread = np.sqrt(np.maximum(s2 - s1 * s1 / (2 * self.PATCH * self.PATCH), 0.0))
 
         keypoints = self._detect(energy, half)
         p_rgb, p_x, conf = [], [], []
+        band, table, y0 = None, None, 0
         for r, c in keypoints:
-            hit = self._search(g_rgb, g_x, r, c, half)
+            if (r - half) // self.STRIDE != band:
+                band = (r - half) // self.STRIDE
+                table, y0 = self._column_windows(g_x, half + band * self.STRIDE, half)
+            hit = self._search(g_rgb, g_x.shape[:2], table, y0, spread, r, c, half)
             if hit is None:
                 continue
             (rx, cx), score = hit
@@ -202,15 +232,38 @@ class ClassicalBackend:
                     pts.append((r0 + dr, c0 + dc))
         return pts
 
+    def _column_windows(self, g_x: np.ndarray, r0: int, half: int) -> tuple[np.ndarray, int]:
+        """Column-window table of the X rows that the keypoints of rows
+        r0 .. r0 + STRIDE - 1 can reach, and the first of those rows.
+
+        Entry [y, x] holds the (channel, column) window g_x[y0 + y, x : x + PATCH],
+        2 * PATCH contiguous values.
+        """
+        reach = self.SEARCH_RADIUS + half
+        y0 = max(0, r0 - reach)
+        rows = g_x[y0 : r0 + self.STRIDE - 1 + reach]
+        windows = np.lib.stride_tricks.sliding_window_view(rows, self.PATCH, axis=1)
+        # explicit sizes: a band below the X frame's last row has no rows
+        shape = (len(rows), g_x.shape[1] - self.PATCH + 1, 2 * self.PATCH)
+        return np.ascontiguousarray(windows).reshape(shape), y0
+
     def _search(
-        self, g_rgb: np.ndarray, g_x: np.ndarray, r: int, c: int, half: int
+        self,
+        g_rgb: np.ndarray,
+        x_shape: tuple[int, int],
+        table: np.ndarray,
+        y0: int,
+        spread: np.ndarray,
+        r: int,
+        c: int,
+        half: int,
     ) -> tuple[tuple[int, int], float] | None:
         desc = g_rgb[r - half : r + half, c - half : c + half]
         d = desc - desc.mean()
         d_norm = np.linalg.norm(d)
         if d_norm <= 1e-12:
             return None
-        height, width = g_x.shape[:2]
+        height, width = x_shape
         rad = self.SEARCH_RADIUS
         r_lo = max(half, r - rad)
         r_hi = min(height - half, r + rad + 1)
@@ -218,21 +271,17 @@ class ClassicalBackend:
         c_hi = min(width - half, c + rad + 1)
         if r_lo >= r_hi or c_lo >= c_hi:
             return None
-        region = g_x[r_lo - half : r_hi + half - 1, c_lo - half : c_hi + half - 1]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            region, (self.PATCH, self.PATCH), axis=(0, 1)
-        )
-        # ZNCC from window sums: centered dot = cross - S1*mean(d),
-        # centered norm^2 = S2 - S1^2/K. The plain einsum loop reads the
-        # windows in place; optimize=True would copy every window out first
-        cross = np.einsum("abcij,ijc->ab", windows, desc)
-        k = desc.size
-        s1 = _window_sums(region.sum(axis=2), self.PATCH)
-        s2 = _window_sums((region * region).sum(axis=2), self.PATCH)
-        var = np.maximum(s2 - s1 * s1 / k, 0.0)
-        denom = np.sqrt(var) * d_norm
+        # prod[y, b, i] = descriptor row i against the column window of X row
+        # y at search column b, one matrix product; the cross term of the
+        # window whose top row is a sums prod[a + i, b, i] over i
+        block = table[r_lo - half - y0 : r_hi + half - 1 - y0, c_lo - half : c_hi - half]
+        prod = block @ d.transpose(2, 1, 0).reshape(2 * self.PATCH, self.PATCH)
+        cross = sum(prod[i : i + r_hi - r_lo, :, i] for i in range(self.PATCH))
+        # the descriptor is centered, so the cross term is the centered dot
+        # product
+        denom = spread[r_lo - half : r_hi - half, c_lo - half : c_hi - half] * d_norm
         with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(denom > 1e-12, (cross - s1 * desc.mean()) / denom, -np.inf)
+            scores = np.where(denom > 1e-12, cross / denom, -np.inf)
         best = int(np.argmax(scores))
         if not np.isfinite(scores.ravel()[best]) or scores.ravel()[best] <= 0.0:
             return None

@@ -216,13 +216,11 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     x = {fid: load_image(p) for fid, p in x_paths.items()}
     masks = _frame_paths(input_dir / "masks")
 
-    bundle = None
-    if (input_dir / "gt" / "meta").exists():
-        bundle = load_bundle(input_dir)
-
+    # only the oracle reads the ground truth; other backends ignore gt/meta
     if cfg.backend == "oracle":
-        if bundle is None:
+        if not (input_dir / "gt" / "meta").exists():
             raise PipelineError("oracle backend requires a benchmark bundle (gt/meta)")
+        bundle = load_bundle(input_dir)
         noise = NoiseModel(
             sigma=cfg.oracle_sigma,
             outlier_fraction=cfg.oracle_outliers,

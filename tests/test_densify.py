@@ -73,6 +73,15 @@ class TestAffinities:
         up = OFFSETS.index((-1, 0))
         assert aff.weights[up, 0, 5] == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 30), (30, 3)])
+    def test_guide_thinner_than_largest_radius(self, rng, shape):
+        # every radius-4 neighbor lies off the raster in the thin dimension
+        aff = compute_affinities(Image(rng.random((*shape, 3))))
+        assert np.abs(aff.weights.sum(axis=0) - 1.0).max() < 1e-6
+        for k, (dr, dc) in enumerate(OFFSETS):
+            if abs(dr) >= shape[0] or abs(dc) >= shape[1]:
+                assert not aff.weights[k].any()
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             AffinityField(np.full((1, 4, 4), 0.5), ((0, 1),))

@@ -268,6 +268,22 @@ class TestWarp:
         assert np.median(err[bg]) <= 0.5
 
 
+def assert_brute_force_confidences(rgb, x):
+    """Every classical match's confidence is max(0, zncc) at its X position."""
+    from rgbxalign.imgcore import gray_array
+    from rgbxalign.matching import _orientation_channels
+
+    ms = ClassicalBackend().match_pair(rgb, x)
+    assert len(ms) > 50
+    g_rgb = _orientation_channels(gray_array(rgb))
+    g_x = _orientation_channels(gray_array(x))
+    for k in range(len(ms)):
+        r, c = ms.p_rgb[k].astype(int)
+        rx, cx = ms.p_x[k].astype(int)
+        brute = zncc(g_rgb[r - 8 : r + 8, c - 8 : c + 8], g_x[rx - 8 : rx + 8, cx - 8 : cx + 8])
+        assert ms.conf[k] == pytest.approx(max(0.0, brute), abs=1e-9), (r, c)
+
+
 class TestClassicalBackend:
     def test_self_match_rate(self):
         rng = np.random.default_rng(17)
@@ -302,16 +318,70 @@ class TestClassicalBackend:
         assert ms.warnings
 
     def test_scores_match_brute_force_zncc(self):
-        from rgbxalign.matching import _orientation_channels
-
         rng = np.random.default_rng(5)
         tex = gaussian_filter(rng.random((96, 96)), 1.0)
+        img = Image((tex - tex.min()) / (tex.max() - tex.min()))
+        assert_brute_force_confidences(img, img)
+
+    def test_scene_scores_match_brute_force_zncc(self):
+        # a scene of the classical benchmark whose near-flat windows once got
+        # confidences up to 1.0 from differenced running sums
+        from rgbxalign.synthbench import SceneConfig, gen_sequence
+
+        bundle = gen_sequence(SceneConfig(seed=100, size=128, frames=3, modality="nir-like"))
+        assert_brute_force_confidences(bundle.rgb[1], bundle.x_raw[0])
+
+    @pytest.mark.parametrize(
+        "tex_shape, rgb_crop, x_crop",
+        [
+            # X larger than the RGB frame
+            ((104, 100), np.s_[:96, :88], np.s_[3:, 2:]),
+            # X far shorter: the lower keypoint bands reach no X row at all
+            ((128, 96), np.s_[:, :], np.s_[3:51, :]),
+        ],
+        ids=["x-larger", "x-shorter"],
+    )
+    def test_search_matches_centered_reference(self, tex_shape, rgb_crop, x_crop):
+        """Every search against an explicit centered ZNCC over all windows."""
+        from rgbxalign.imgcore import gray_array
+        from rgbxalign.matching import _orientation_channels
+
+        rng = np.random.default_rng(8)
+        tex = gaussian_filter(rng.random(tex_shape), 1.2)
         tex = (tex - tex.min()) / (tex.max() - tex.min())
-        img = Image(tex)
-        ms = ClassicalBackend().match_pair(img, img)
-        g = _orientation_channels(tex)
-        for k in range(0, len(ms), 23):
-            r, c = ms.p_rgb[k].astype(int)
-            rx, cx = ms.p_x[k].astype(int)
-            brute = zncc(g[r - 8 : r + 8, c - 8 : c + 8], g[rx - 8 : rx + 8, cx - 8 : cx + 8])
-            assert ms.conf[k] == pytest.approx(max(0.0, brute), abs=1e-9)
+        # a flat block (zero gradients inside) and a faint one, whose windows
+        # have a variance far below that of the frame's running sums
+        tex[10:40, 20:70] = 0.4
+        tex[60:95, 5:30] = 0.6 + 1e-6 * rng.random((35, 25))
+        # X is the contrast-inverted scene, shifted and of another size
+        rgb, x = Image(tex[rgb_crop]), Image(1.0 - tex[x_crop])
+        backend = ClassicalBackend()
+        ms = backend.match_pair(rgb, x)
+
+        patch, half, rad = backend.PATCH, backend.PATCH // 2, backend.SEARCH_RADIUS
+        g_rgb = _orientation_channels(gray_array(rgb))
+        g_x = _orientation_channels(gray_array(x))
+        expect = []
+        for r, c in backend._detect(np.hypot(g_rgb[:, :, 0], g_rgb[:, :, 1]), half):
+            d = g_rgb[r - half : r + half, c - half : c + half]
+            d = d - d.mean()
+            r_lo, c_lo = max(half, r - rad), max(half, c - rad)
+            r_hi = min(g_x.shape[0] - half, r + rad + 1)
+            c_hi = min(g_x.shape[1] - half, c + rad + 1)
+            if np.linalg.norm(d) <= 1e-12 or r_lo >= r_hi or c_lo >= c_hi:
+                continue
+            region = g_x[r_lo - half : r_hi + half - 1, c_lo - half : c_hi + half - 1]
+            win = np.lib.stride_tricks.sliding_window_view(region, (patch, patch), axis=(0, 1))
+            win = win - win.mean(axis=(2, 3, 4), keepdims=True)
+            dot = np.einsum("abcij,ijc->ab", win, d)
+            denom = np.sqrt(np.einsum("abcij,abcij->ab", win, win)) * np.linalg.norm(d)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scores = np.where(denom > 1e-12, dot / denom, -np.inf)
+            br, bc = np.unravel_index(np.argmax(scores), scores.shape)
+            if np.isfinite(scores[br, bc]) and scores[br, bc] > 0.0:
+                expect.append((r, c, r_lo + br, c_lo + bc, min(scores[br, bc], 1.0)))
+        expect = np.array(expect)
+        assert len(expect) > 50
+        assert np.array_equal(ms.p_rgb, expect[:, :2])
+        assert np.array_equal(ms.p_x, expect[:, 2:4])
+        assert np.abs(ms.conf - expect[:, 4]).max() <= 1e-9

@@ -123,6 +123,18 @@ class TestRun:
         with pytest.raises(PipelineError, match="0006"):
             run_pipeline(fast_config(extra, tmp_path / "out"))
 
+    def test_classical_run_ignores_ground_truth(self, tmp_path):
+        from rgbxalign.errors import RgbxError
+
+        bundle = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=5, size=64, frames=2, modality="nir-like")), bundle)
+        meta = bundle / "gt" / "meta"
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), retired_option=1)))
+        manifest = run_pipeline(fast_config(bundle, tmp_path / "classical", backend="classical"))
+        assert all(f.status in ("ok", "fallback") for f in manifest.frames)
+        with pytest.raises(RgbxError, match="retired_option"):
+            run_pipeline(fast_config(bundle, tmp_path / "oracle"))
+
     def test_file_backend(self, bench_dir, tmp_path):
         from rgbxalign.matching import save_matchset
         from rgbxalign.synthbench import NoiseModel, load_bundle, oracle_match
