@@ -68,8 +68,8 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--window", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--dump-levels", action="store_true", default=None)
-    p.add_argument("--no-confidence", dest="use_matching_confidence", action="store_false",
-                   default=None, help="force the propagation confidence map to 1")
+    p.add_argument("--no-confidence", action="store_true",
+                   help="force the propagation confidence map to 1 (densify.use_confidence)")
     p.add_argument("--no-area-sampling", dest="enable_area_sampling", action="store_false",
                    default=None)
     p.add_argument("--no-filtering", dest="enable_filtering", action="store_false", default=None)
@@ -91,8 +91,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise PipelineError(f"{args.config}: a config must be a JSON object")
     payload["input_dir"] = args.input
     payload["output_dir"] = args.out
+    if args.no_confidence:
+        densify = payload.setdefault("densify", {})
+        if isinstance(densify, dict):  # anything else is rejected by the config
+            densify["use_confidence"] = False
     for key in ("backend", "seed", "window", "workers", "dump_levels",
-                "use_matching_confidence", "enable_area_sampling", "enable_filtering",
+                "enable_area_sampling", "enable_filtering",
                 "oracle_sigma", "oracle_outliers", "oracle_rho", "oracle_count"):
         value = getattr(args, key, None)
         if value is not None:

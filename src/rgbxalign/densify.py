@@ -5,6 +5,11 @@ neighborhood with the anchored known value:
 
     L[t+1] = (1 - Cs*Cm) * sum_k w_k * L[t]_k  +  Cs*Cm * Xm
 
+Cs is the known-pixel indicator of the sparse map (1 where a value was
+observed, 0 on void pixels) and Cm the matching confidence, so the anchor
+Cs*Cm is the confidence at known pixels and 0 elsewhere. With
+`DensifyConfig.use_confidence` off, Cm is forced to 1 and the anchor is Cs.
+
 Affinities are deterministic joint-bilateral weights derived from the RGB
 guidance (color and spatial Gaussian kernels over 8 offsets at each of
 several radii, normalized to sum to 1 per pixel), so every update is a
@@ -45,7 +50,7 @@ class DensifyConfig:
     iterations: int = 24
     tol: float = 1e-4
     # when False, the recurrence anchors with the known-pixel indicator
-    # instead of the matching confidence (thresholding still applies)
+    # alone, forcing Cm to 1 (thresholding still applies)
     use_confidence: bool = True
 
     def __post_init__(self) -> None:
@@ -85,23 +90,6 @@ class AffinityField:
         w = np.ascontiguousarray(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class CertaintyMap:
-    """Anchoring certainty in [0, 1]; zero on void pixels by construction."""
-
-    cs: np.ndarray
-
-    def __post_init__(self) -> None:
-        cs = np.asarray(self.cs, dtype=np.float64)
-        if cs.ndim != 2:
-            raise ValueError("certainty raster must be 2-D")
-        if not np.all(np.isfinite(cs)) or cs.min() < 0.0 or cs.max() > 1.0:
-            raise ValueError("certainty values must be within [0, 1]")
-        cs = np.ascontiguousarray(cs)
-        cs.flags.writeable = False
-        object.__setattr__(self, "cs", cs)
 
 
 def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
@@ -151,11 +139,6 @@ def compute_affinities(rgb: Image) -> AffinityField:
     return AffinityField(weights, OFFSETS)
 
 
-def certainty_map(sparse: SparseMap) -> CertaintyMap:
-    """Hard anchoring: certainty 1 at known pixels, 0 at void ones."""
-    return CertaintyMap(sparse.known.astype(np.float64))
-
-
 def init_dense(sparse: SparseMap) -> Image:
     """Inverse-distance-weighted (power 2) fill from the 4 nearest known pixels."""
     known = sparse.known
@@ -183,22 +166,25 @@ def propagate(
     l0: Image,
     aff: AffinityField,
     sparse: SparseMap,
-    cs: CertaintyMap,
     cm: ConfidenceMap,
     cfg: DensifyConfig | None = None,
     step_sizes: list[float] | None = None,
 ) -> Image:
     """Iterate the confidence-aware recurrence to T steps or convergence.
 
-    With cm identically 1 this degenerates to the plain certainty-anchored
-    recurrence. Pixels where cs*cm == 1 reproduce the known value exactly.
+    Each pixel is anchored by Cs*Cm, where Cs is the known-pixel indicator
+    of `sparse` and Cm is `cm`, or 1 when `cfg.use_confidence` is off. With
+    Cm identically 1 this degenerates to the plain known-pixel-anchored
+    recurrence. Pixels where Cs*Cm == 1 reproduce the known value exactly.
     Appends the max-abs update of every iteration to `step_sizes` if given.
     """
     cfg = cfg or DensifyConfig()
     current = np.array(l0.data, dtype=np.float64)
     if current.ndim != 2:
         raise DensifyError("propagation operates on single-channel rasters")
-    anchor = cs.cs * cm.conf
+    anchor = sparse.known.astype(np.float64)
+    if cfg.use_confidence:
+        anchor = anchor * cm.conf
     xm = np.where(sparse.known, sparse.values, 0.0)
     known_vals = sparse.values[sparse.known]
     lo = min(current.min(), known_vals.min()) if known_vals.size else current.min()
@@ -256,17 +242,10 @@ def threshold_sparse(
 
 
 def densify_level(
-    aff: AffinityField,
-    sparse: SparseMap,
-    conf: ConfidenceMap,
-    cfg: DensifyConfig,
-    step_sizes: list[float] | None = None,
+    aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig
 ) -> Image:
     """Initialize and propagate a single sparse level."""
-    l0 = init_dense(sparse)
-    if not cfg.use_confidence:
-        conf = ConfidenceMap(sparse.known.astype(np.float64))
-    return propagate(l0, aff, sparse, certainty_map(sparse), conf, cfg, step_sizes)
+    return propagate(init_dense(sparse), aff, sparse, conf, cfg)
 
 
 def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig) -> Image:
@@ -278,10 +257,10 @@ def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: Densi
     iteration budget a pixel scores high only near confident anchors, so the
     score rises with anchor confidence and falls with anchor spacing.
     """
-    if not cfg.use_confidence:
-        conf = ConfidenceMap(sparse.known.astype(np.float64))
-    field = SparseMap(np.where(sparse.known, conf.conf, 0.0), sparse.counts)
-    return propagate(Image(field.values), aff, field, certainty_map(field), conf, cfg)
+    field = SparseMap(
+        np.where(sparse.known, conf.conf if cfg.use_confidence else 1.0, 0.0), sparse.counts
+    )
+    return propagate(Image(field.values), aff, field, conf, cfg)
 
 
 def densify_multilevel(

@@ -53,60 +53,45 @@ def _box_filter(arr: np.ndarray, radius: int) -> np.ndarray:
 
 
 def guided_filter(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Edge-preserving smoothing of src steered by a single-channel guide."""
-    r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
-    if r < 1:
-        return src.copy()
-    ones = np.ones_like(src)
-    n = _box_filter(ones, r)
-    mean_i = _box_filter(guide, r) / n
-    mean_p = _box_filter(src, r) / n
-    cov_ip = _box_filter(guide * src, r) / n - mean_i * mean_p
-    var_i = _box_filter(guide * guide, r) / n - mean_i * mean_i
-    a = cov_ip / (var_i + GUIDED_EPS)
-    b = mean_p - a * mean_i
-    mean_a = _box_filter(a, r) / n
-    mean_b = _box_filter(b, r) / n
-    return mean_a * guide + mean_b
+    """Guided filter with an (H, W, C) guide (local affine model per window).
 
+    The colour form of He et al., Guided Image Filtering (TPAMI 2013); with
+    C = 1 it is their single-channel filter.
 
-def guided_filter_color(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Guided filter with a 3-channel guide (local affine model per window).
-
-    Regressing the target on all three color channels lets the filter keep
-    any structure the RGB image can explain (per-channel mixes included)
-    while still averaging away variation uncorrelated with the guide.
+    Regressing the target on all C guide channels lets the filter keep any
+    structure the guide can explain (per-channel mixes included) while
+    still averaging away variation uncorrelated with it.
     """
-    if guide.ndim != 3 or guide.shape[2] != 3:
-        raise FilterError("color guided filter needs an (H, W, 3) guide")
+    if guide.ndim != 3 or guide.shape[:2] != src.shape:
+        raise FilterError("guided filter needs an (H, W, C) guide matching the source")
     r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
     if r < 1:
         return src.copy()
     n = _box_filter(np.ones_like(src), r)
+    depth = guide.shape[2]
 
-    means = np.stack([_box_filter(guide[:, :, c], r) / n for c in range(3)], axis=-1)
+    means = np.stack([_box_filter(guide[:, :, c], r) / n for c in range(depth)], axis=-1)
     mean_p = _box_filter(src, r) / n
     cov_ip = np.stack(
-        [_box_filter(guide[:, :, c] * src, r) / n - means[:, :, c] * mean_p for c in range(3)],
+        [_box_filter(guide[:, :, c] * src, r) / n - means[:, :, c] * mean_p
+         for c in range(depth)],
         axis=-1,
     )
-    # symmetric 3x3 guide covariance per pixel, regularized by GUIDED_EPS * I
-    sigma = np.empty(src.shape + (3, 3))
-    for c1 in range(3):
-        for c2 in range(c1, 3):
+    # symmetric C x C guide covariance per pixel, regularized by GUIDED_EPS * I
+    sigma = np.empty(src.shape + (depth, depth))
+    for c1 in range(depth):
+        for c2 in range(c1, depth):
             cov = (
                 _box_filter(guide[:, :, c1] * guide[:, :, c2], r) / n
                 - means[:, :, c1] * means[:, :, c2]
             )
             sigma[:, :, c1, c2] = cov
             sigma[:, :, c2, c1] = cov
-    sigma[:, :, 0, 0] += GUIDED_EPS
-    sigma[:, :, 1, 1] += GUIDED_EPS
-    sigma[:, :, 2, 2] += GUIDED_EPS
+        sigma[:, :, c1, c1] += GUIDED_EPS
 
     a = np.linalg.solve(sigma, cov_ip[:, :, :, None])[:, :, :, 0]
     b = mean_p - np.einsum("ijc,ijc->ij", a, means)
-    mean_a = np.stack([_box_filter(a[:, :, c], r) / n for c in range(3)], axis=-1)
+    mean_a = np.stack([_box_filter(a[:, :, c], r) / n for c in range(depth)], axis=-1)
     mean_b = _box_filter(b, r) / n
     return np.einsum("ijc,ijc->ij", mean_a, guide) + mean_b
 
@@ -115,17 +100,14 @@ def enhance(xd: Image, rgb: Image) -> Image:
     """RGB-guided smoothing plus unsharp masking, clamped to the input range.
 
     Stands in for the learned enhancement: one guided-filter pass
-    (GUIDED_RADIUS, GUIDED_EPS, full color guide) suppresses propagation noise the
-    RGB image cannot explain, then unsharp masking with amount 0.5 restores
-    edge contrast.
+    (GUIDED_RADIUS, GUIDED_EPS, every channel of the RGB frame as guide)
+    suppresses propagation noise the RGB image cannot explain, then unsharp
+    masking with amount 0.5 restores edge contrast.
     """
-    if xd.shape != rgb.shape[:2] and xd.shape != rgb.shape:
+    if xd.shape != rgb.shape:
         raise FilterError("enhance requires dimension-matched images")
     src = xd.data
-    if rgb.channels == 3:
-        smoothed = guided_filter_color(rgb.data, src)
-    else:
-        smoothed = guided_filter(gray_array(rgb), src)
+    smoothed = guided_filter(rgb.data.reshape(rgb.shape + (rgb.channels,)), src)
     sharp = smoothed + 0.5 * (smoothed - gaussian_filter(smoothed, sigma=1.0, mode="nearest"))
     out = np.clip(sharp, src.min(), src.max())
     return Image(out, units=xd.units)

@@ -479,14 +479,6 @@ def gray_array(img: Image) -> np.ndarray:
     return to_grayscale(img).data
 
 
-def _window_sums(arr: np.ndarray, win: int) -> np.ndarray:
-    """Sum over every win x win window (valid positions), via integral image."""
-    height, width = arr.shape
-    cum = np.zeros((height + 1, width + 1))
-    cum[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-    return cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
-
-
 def bilinear_sample(
     data: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

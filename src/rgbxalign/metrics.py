@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import MetricError
 from .fuse_filter import SimilarityMatrix
-from .imgcore import Image, _window_sums
+from .imgcore import Image
 from .quantiles import quantile
 
 PSNR_INF = float("inf")
@@ -36,6 +36,14 @@ REPORT_COLUMNS = (
 def _check_dims(a: Image, b: Image) -> None:
     if a.shape != b.shape or a.channels != b.channels:
         raise MetricError(f"dimension mismatch: {a.shape}x{a.channels} vs {b.shape}x{b.channels}")
+
+
+def _window_sums(arr: np.ndarray, win: int) -> np.ndarray:
+    """Sum over every win x win window (valid positions), via integral image."""
+    height, width = arr.shape
+    cum = np.zeros((height + 1, width + 1))
+    cum[1:, 1:] = np.cumsum(np.cumsum(arr, axis=0), axis=1)
+    return cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
 
 
 def psnr(a: Image, b: Image, peak: float = 1.0) -> float:

@@ -16,7 +16,7 @@ import logging
 import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ class PipelineConfig:
     oracle_outliers: float = 0.0
     oracle_rho: float = 1.0
     oracle_skip_homogeneous: bool = False
-    use_matching_confidence: bool = True
     enable_area_sampling: bool = True
     enable_filtering: bool = True
     dump_levels: bool = False
@@ -78,6 +77,9 @@ class PipelineConfig:
             raise ValueError("ransac_iters must be >= 1")
         if self.oracle_count < 1:
             raise ValueError("oracle_count must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.oracle_noise()
         if isinstance(self.densify, dict):
             d = dict(self.densify)
             if "thresholds" in d:
@@ -85,6 +87,15 @@ class PipelineConfig:
             self.densify = DensifyConfig(**d)
         if not isinstance(self.densify, DensifyConfig):
             raise ValueError("densify must be a DensifyConfig or an object of its fields")
+
+    def oracle_noise(self) -> NoiseModel:
+        """The oracle's match degradation; raises ValueError on a bad value."""
+        return NoiseModel(
+            sigma=self.oracle_sigma,
+            outlier_fraction=self.oracle_outliers,
+            rho=self.oracle_rho,
+            skip_homogeneous=self.oracle_skip_homogeneous,
+        )
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -221,13 +232,7 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
         if not (input_dir / "gt" / "meta").exists():
             raise PipelineError("oracle backend requires a benchmark bundle (gt/meta)")
         bundle = load_bundle(input_dir)
-        noise = NoiseModel(
-            sigma=cfg.oracle_sigma,
-            outlier_fraction=cfg.oracle_outliers,
-            rho=cfg.oracle_rho,
-            skip_homogeneous=cfg.oracle_skip_homogeneous,
-        )
-        backend = _OracleAdapter(bundle, noise, cfg.oracle_count, cfg.seed)
+        backend = _OracleAdapter(bundle, cfg.oracle_noise(), cfg.oracle_count, cfg.seed)
         unknown = sorted((set(frame_ids) | set(x)) - set(backend.index))
         if unknown:
             raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
@@ -274,8 +279,9 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         rec.warnings.extend(ms.warnings)
     sparse, conf = accumulate_matches(sets, [ctx.x[m] for m in window], fid, shape)
 
-    # homography warp of the synchronous X frame (area-sampling source and
-    # the last fallback rung)
+    # homography warp of the synchronous X frame, or of the window's middle
+    # one when it is missing (area-sampling source and the last fallback
+    # rung); the warp moves the X frame the homography was estimated for
     center = sets[window.index(fid)] if fid in window else sets[len(sets) // 2]
     try:
         hom, _ = estimate_homography(
@@ -284,8 +290,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     except EstimationFailedError as exc:
         hom = Homography.identity()
         rec.warnings.append(f"homography estimation failed ({exc}); identity warp")
-    x_src = ctx.x.get(fid, ctx.x[window[0]])
-    warped, validity = warp_image(x_src, hom, shape)
+    warped, validity = warp_image(ctx.x[center.x_frame], hom, shape)
 
     if cfg.enable_area_sampling:
         mask = _area_mask_for(ctx, fid, shape)
@@ -297,11 +302,10 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         else:
             rec.warnings.append("no area mask available; area sampling skipped")
 
-    dcfg = cfg.densify if cfg.use_matching_confidence else replace(cfg.densify, use_confidence=False)
     certainty: dict[float, float] = {}
     try:
         aff = compute_affinities(rgb)
-        levels = densify_multilevel(aff, sparse, conf, dcfg, certainty)
+        levels = densify_multilevel(aff, sparse, conf, cfg.densify, certainty)
     except DensifyError as exc:
         rec.status = "fallback"
         rec.fallback = "homography-warp"
@@ -336,7 +340,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
             rec.rejected = int(result.rejected_patches.sum())
             if result.degenerate:
                 rec.warnings.append("self-match degenerate; nothing rejected")
-            x_final = fuse_filter.fine_densify(aff, result.sparse, result.conf, dcfg)
+            x_final = fuse_filter.fine_densify(aff, result.sparse, result.conf, cfg.densify)
             f_after = fuse_filter.patch_descriptors(x_final, grid)
             rec.lsim_after = fuse_filter.self_match_score(
                 fuse_filter.similarity_matrix(f_rgb, f_after)

@@ -14,7 +14,6 @@ import pytest
 from rgbxalign import fuse_filter
 from rgbxalign.densify import (
     DensifyConfig,
-    certainty_map,
     compute_affinities,
     init_dense,
     propagate,
@@ -99,8 +98,8 @@ def test_criterion_02_anchoring_and_degeneration(rng):
     values = rng.random((16, 16))
     sp_full = SparseMap(values, np.ones((16, 16), dtype=int))
     aff = compute_affinities(Image(rng.random((16, 16, 3))))
-    out = propagate(Image(values), aff, sp_full, certainty_map(sp_full),
-                    ConfidenceMap(np.ones((16, 16))), DensifyConfig())
+    out = propagate(Image(values), aff, sp_full, ConfidenceMap(np.ones((16, 16))),
+                    DensifyConfig())
     assert np.array_equal(out.data, values)
 
     # degeneration to the unblended recurrence, bitwise, 20 instances
@@ -111,10 +110,10 @@ def test_criterion_02_anchoring_and_degeneration(rng):
             counts[0, 0] = 1
         sp = SparseMap(rng.random((16, 16)) * counts, counts)
         aff = compute_affinities(Image(rng.random((16, 16, 3))))
-        cs = certainty_map(sp)
-        mine = propagate(init_dense(sp), aff, sp, cs, ConfidenceMap(np.ones((16, 16))), cfg)
+        mine = propagate(init_dense(sp), aff, sp, ConfidenceMap(np.ones((16, 16))), cfg)
         ref = reference_recurrence(init_dense(sp).data, aff,
-                                   np.where(sp.known, sp.values, 0.0), cs.cs, 4)
+                                   np.where(sp.known, sp.values, 0.0),
+                                   sp.known.astype(np.float64), 4)
         assert np.array_equal(mine.data, ref)
     _report(2, "anchoring + recurrence degeneration", "exact anchors; 20 instances bitwise")
 
@@ -127,7 +126,7 @@ def test_criterion_03_confidence_aware_densification(trend_bundles, workdir):
         bd = trend_bundles[seed]
         full = _run(bd, workdir / f"c3f{seed}", seed=seed, **TREND_NOISE)
         forced = _run(bd, workdir / f"c3n{seed}", seed=seed,
-                      use_matching_confidence=False, **TREND_NOISE)
+                      densify=DensifyConfig(use_confidence=False), **TREND_NOISE)
         gains.append(full - forced)
     elapsed = time.time() - start
     mean_gain = float(np.mean(gains))

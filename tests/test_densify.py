@@ -7,7 +7,6 @@ from rgbxalign.densify import (
     OFFSETS,
     AffinityField,
     DensifyConfig,
-    certainty_map,
     compute_affinities,
     densify_multilevel,
     init_dense,
@@ -128,8 +127,8 @@ class TestPropagate:
         values = rng.random((16, 16))
         sp = SparseMap(values, np.ones((16, 16), dtype=int))
         aff = compute_affinities(Image(rng.random((16, 16, 3))))
-        out = propagate(Image(values), aff, sp, certainty_map(sp),
-                        ConfidenceMap(np.ones((16, 16))), DensifyConfig())
+        out = propagate(Image(values), aff, sp, ConfidenceMap(np.ones((16, 16))),
+                        DensifyConfig())
         assert np.array_equal(out.data, values)
 
     def test_single_anchor_converges(self):
@@ -140,8 +139,7 @@ class TestPropagate:
         sp = SparseMap(values, counts)
         cfg = DensifyConfig(iterations=200, tol=0.0)
         aff = compute_affinities(Image(np.full((32, 32, 3), 0.5)))
-        out = propagate(init_dense(sp), aff, sp, certainty_map(sp),
-                        ConfidenceMap(counts.astype(float)), cfg)
+        out = propagate(init_dense(sp), aff, sp, ConfidenceMap(counts.astype(float)), cfg)
         assert np.abs(out.data - 1.0).max() < 0.01
 
     def test_bitwise_vs_reference(self, rng):
@@ -150,18 +148,17 @@ class TestPropagate:
             sp = random_sparse(rng, (16, 16), 0.3)
             aff = compute_affinities(Image(rng.random((16, 16, 3))))
             cfg = DensifyConfig(iterations=4, tol=0.0)
-            cs = certainty_map(sp)
-            mine = propagate(init_dense(sp), aff, sp, cs,
-                             ConfidenceMap(np.ones((16, 16))), cfg)
+            mine = propagate(init_dense(sp), aff, sp, ConfidenceMap(np.ones((16, 16))), cfg)
             xm = np.where(sp.known, sp.values, 0.0)
-            ref = reference_recurrence(init_dense(sp).data, aff, xm, cs.cs, 4)
+            ref = reference_recurrence(init_dense(sp).data, aff, xm,
+                                       sp.known.astype(np.float64), 4)
             assert np.array_equal(mine.data, ref)
 
     def test_min_max_bound(self, rng):
         sp = random_sparse(rng, (20, 20), 0.2)
         conf = ConfidenceMap(np.where(sp.known, rng.random((20, 20)), 0.0))
         aff = compute_affinities(Image(rng.random((20, 20, 3))))
-        out = propagate(init_dense(sp), aff, sp, certainty_map(sp), conf, DensifyConfig())
+        out = propagate(init_dense(sp), aff, sp, conf, DensifyConfig())
         lo = min(init_dense(sp).data.min(), sp.values[sp.known].min())
         hi = max(init_dense(sp).data.max(), sp.values[sp.known].max())
         assert out.data.min() >= lo - 1e-9
@@ -179,10 +176,9 @@ class TestPropagate:
         sp = SparseMap(values * counts, counts)
         aff = compute_affinities(Image(np.full((24, 24, 3), 0.5)))
         cfg = DensifyConfig()
-        out_soft = propagate(init_dense(sp), aff, sp, certainty_map(sp),
+        out_soft = propagate(init_dense(sp), aff, sp,
                              ConfidenceMap(np.where(counts > 0, 0.5, 0.0)), cfg)
-        out_hard = propagate(init_dense(sp), aff, sp, certainty_map(sp),
-                             ConfidenceMap(counts.astype(float)), cfg)
+        out_hard = propagate(init_dense(sp), aff, sp, ConfidenceMap(counts.astype(float)), cfg)
         assert abs(out_soft.data[12, 12] - 0.5) < abs(out_hard.data[12, 12] - 0.5)
 
     def test_contraction_on_benchmark(self, small_bundle):
@@ -197,7 +193,7 @@ class TestPropagate:
         cfg = DensifyConfig(tol=0.0)
         steps: list[float] = []
         propagate(init_dense(sp), compute_affinities(small_bundle.rgb[1]), sp,
-                  certainty_map(sp), conf, cfg, step_sizes=steps)
+                  conf, cfg, step_sizes=steps)
         for i in range(3, len(steps) - 1):
             assert steps[i + 1] <= steps[i] * 1.05 + 1e-12
 
@@ -214,8 +210,7 @@ class TestPropagate:
         gt = small_bundle.x_gt[n]
         l0 = init_dense(sp)
         cfg = DensifyConfig()
-        out = propagate(l0, compute_affinities(small_bundle.rgb[n]), sp,
-                        certainty_map(sp), conf, cfg)
+        out = propagate(l0, compute_affinities(small_bundle.rgb[n]), sp, conf, cfg)
         assert psnr(out, gt) >= psnr(l0, gt)
 
 

@@ -28,9 +28,10 @@ def smooth_image(rng, shape=(96, 96), sigma=2.0):
 
 
 class TestEnhance:
-    def test_constant_identity(self):
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_constant_identity(self, depth):
         const = Image(np.full((64, 64), 0.4))
-        rgb = Image(np.full((64, 64, 3), 0.6))
+        rgb = Image(np.full((64, 64, depth), 0.6))
         assert np.array_equal(enhance(const, rgb).data, const.data)
 
     def test_denoises(self, rng):
@@ -39,9 +40,10 @@ class TestEnhance:
         rgb = Image(np.stack([gt.data] * 3, axis=-1))
         assert psnr(enhance(noisy, rgb), gt) > psnr(noisy, gt)
 
-    def test_range_contained(self, rng):
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_range_contained(self, rng, depth):
         img = smooth_image(rng)
-        rgb = Image(rng.random((96, 96, 3)))
+        rgb = Image(rng.random((96, 96, depth)))
         out = enhance(img, rgb)
         assert out.data.min() >= img.data.min() - 1e-12
         assert out.data.max() <= img.data.max() + 1e-12

@@ -114,6 +114,32 @@ class TestRun:
         assert windows["0004"] == ["0003", "0004", "0005"]
         assert windows["0005"] == ["0004", "0005"]
 
+    def test_warp_moves_the_homography_x_frame(self, bench_dir, tmp_path, monkeypatch):
+        """A frame without its own X frame warps the X frame its homography maps to."""
+        import shutil
+
+        from rgbxalign import pipeline
+
+        partial = tmp_path / "partial"
+        shutil.copytree(bench_dir, partial)
+        (partial / "x_raw" / "0003.png").unlink()
+        ctx = _load_context(fast_config(partial, tmp_path / "out", window=3))
+        seen = {}
+        estimate, warp = pipeline.estimate_homography, pipeline.warp_image
+
+        def estimate_spy(ms, **kw):
+            seen["homography"] = ms.x_frame
+            return estimate(ms, **kw)
+
+        def warp_spy(x, hom, shape):
+            seen["warped"] = next(fid for fid, img in ctx.x.items() if img is x)
+            return warp(x, hom, shape)
+
+        monkeypatch.setattr(pipeline, "estimate_homography", estimate_spy)
+        monkeypatch.setattr(pipeline, "warp_image", warp_spy)
+        pipeline.process_frame(ctx, ctx.frame_ids.index("0003"))
+        assert seen == {"homography": "0004", "warped": "0004"}
+
     def test_stray_x_frame_rejected(self, bench_dir, tmp_path):
         import shutil
 
@@ -284,6 +310,10 @@ class TestCli:
     @pytest.mark.parametrize("cls, kwargs", [
         pytest.param(PipelineConfig, dict(ransac_iters=0), id="ransac_iters"),
         pytest.param(PipelineConfig, dict(oracle_count=0), id="oracle_count"),
+        pytest.param(PipelineConfig, dict(oracle_sigma=-1.0), id="oracle_sigma"),
+        pytest.param(PipelineConfig, dict(oracle_outliers=-0.1), id="oracle_outliers"),
+        pytest.param(PipelineConfig, dict(oracle_rho=1.5), id="oracle_rho"),
+        pytest.param(PipelineConfig, dict(workers=0), id="workers"),
     ])
     def test_invalid_config_rejected_up_front(self, cls, kwargs):
         with pytest.raises(ValueError):
@@ -294,6 +324,10 @@ class TestCli:
         ({"densify": {"radii": [1, 2]}}, "densify.radii"),
         ({"densify": [0.2]}, "densify"),
         ({"window": 4}, "window"),
+        ({"use_matching_confidence": False}, "use_matching_confidence"),
+        ({"oracle_sigma": -1}, "sigma"),
+        ({"backend": "classical", "oracle_rho": 1.5}, "fractions"),
+        ({"workers": 0}, "workers"),
     ])
     def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
@@ -303,6 +337,23 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("config, densify", [
+        (None, DensifyConfig(use_confidence=False)),
+        ({"densify": {"thresholds": [0.2], "iterations": 5}},
+         DensifyConfig(thresholds=(0.2,), iterations=5, use_confidence=False)),
+    ])
+    def test_no_confidence_sets_densify(self, bench_dir, tmp_path, monkeypatch, config, densify):
+        from rgbxalign import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda cfg: ran.append(cfg) or RunManifest({}))
+        args = ["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"), "--no-confidence"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert cli_main(args) == 0
+        assert ran[0].densify == densify
 
     def test_run_rejects_missing_config_file(self, bench_dir, tmp_path, capsys):
         code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
