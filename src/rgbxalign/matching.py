@@ -15,6 +15,7 @@ coordinates, which is exactly what `warp_image` consumes for inverse warping.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -357,18 +358,23 @@ def _normalizing_transform(pts: np.ndarray) -> np.ndarray:
     )
 
 
+def _design_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """DLT system of matches given as (..., n, 2) arrays: (..., 2n, 9), two
+    interleaved rows per match."""
+    u, v = src[..., 0], src[..., 1]
+    x, y = dst[..., 0], dst[..., 1]
+    ones = np.ones_like(u)
+    zeros = np.zeros_like(u)
+    rows_x = np.stack([u, v, ones, zeros, zeros, zeros, -x * u, -x * v, -x], axis=-1)
+    rows_y = np.stack([zeros, zeros, zeros, u, v, ones, -y * u, -y * v, -y], axis=-1)
+    return np.stack([rows_x, rows_y], axis=-2).reshape(*u.shape[:-1], 2 * u.shape[-1], 9)
+
+
 def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     n = len(src)
-    a = np.zeros((2 * n, 9))
-    u, v = src[:, 0], src[:, 1]
-    x, y = dst[:, 0], dst[:, 1]
-    ones = np.ones(n)
-    zeros = np.zeros(n)
-    a[0::2] = np.column_stack([u, v, ones, zeros, zeros, zeros, -x * u, -x * v, -x])
-    a[1::2] = np.column_stack([zeros, zeros, zeros, u, v, ones, -y * u, -y * v, -y])
     # a minimal 4-point system is 8x9 and needs the full V; a refit over many
     # matches needs only V, never the 2n x 2n U
-    _, s, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
+    _, s, vt = np.linalg.svd(_design_matrix(src, dst), full_matrices=2 * n < 9)
     if n > 4 and s[-2] < 1e-12:
         return None
     h = vt[-1].reshape(3, 3)
@@ -377,15 +383,69 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     return h / h[2, 2]
 
 
-def _has_collinear_triple(pts: np.ndarray, eps: float = 1e-6) -> bool:
-    from itertools import combinations
+def _dlt_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DLT of B minimal samples given as (B, 4, 2) arrays.
 
-    for i, j, k in combinations(range(len(pts)), 3):
-        v1 = pts[j] - pts[i]
-        v2 = pts[k] - pts[i]
-        if abs(v1[0] * v2[1] - v1[1] * v2[0]) < eps:
-            return True
-    return False
+    Returns the (B, 3, 3) models scaled to h[2,2] = 1 and the mask of the
+    samples whose h[2,2] allows that scaling; the other models are left
+    unscaled.
+    """
+    # each 8x9 system's solution is the 9th right singular vector, which
+    # only the full V holds
+    _, _, vt = np.linalg.svd(_design_matrix(src, dst))
+    h = vt[:, -1].reshape(-1, 3, 3)
+    ok = np.abs(h[:, 2, 2]) >= 1e-12
+    h[ok] /= h[ok, 2:3, 2:3]
+    return h, ok
+
+
+# RANSAC stops once a sample free of outliers has been drawn with this
+# probability
+_RANSAC_CONFIDENCE = 0.99
+# minimal samples drawn, screened and solved together; the stopping bound is
+# about 35 to 300 samples on typical match sets
+_SAMPLE_CHUNK = 32
+
+# the four point triples of a 4-point sample
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def _collinear_samples(pts: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Which of the (B, 4, 2) samples hold three points on a line (cross
+    product of two edge vectors below eps)."""
+    a, b, c = (pts[:, _TRIPLES[:, k]] for k in range(3))
+    v1 = b - a
+    v2 = c - a
+    cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    return (np.abs(cross) < eps).any(axis=1)
+
+
+def _draw_samples(weights: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` samples of 4 match indices, (count, 4).
+
+    Each index is drawn with probability proportional to its weight among
+    the matches not yet in its sample: a uniform position over the weight
+    left is carried past the intervals of the indices already taken, then
+    located on the cumulative weights. Zero-weight matches have empty
+    intervals and are never drawn. Scratch memory is O(count + n).
+
+    Rounding can carry a position onto the top edge; it then takes the
+    last match of non-zero weight, which may repeat an index of its sample,
+    and a repeated point makes the sample collinear.
+    """
+    edges = np.concatenate([[0.0], np.cumsum(weights)])
+    last = np.flatnonzero(weights)[-1]
+    idx = np.empty((count, 4), dtype=np.int64)
+    taken_weight = np.zeros(count)
+    for k in range(4):
+        pos = rng.random(count) * (edges[-1] - taken_weight)
+        # edges[t + 1] is edges[t] + weights[t] rounded, so a position at or
+        # past edges[t] moves to at or past edges[t + 1]
+        for t in np.sort(idx[:, :k], axis=1).T:
+            pos += np.where(pos >= edges[t], weights[t], 0.0)
+        idx[:, k] = np.minimum(np.searchsorted(edges, pos, side="right") - 1, last)
+        taken_weight += weights[idx[:, k]]
+    return idx
 
 
 def _symmetric_transfer_error(
@@ -408,6 +468,16 @@ def _symmetric_transfer_error(
     return np.sqrt((dr * dr + dc * dc) + (er * er + ec * ec))
 
 
+def _samples_needed(inlier_fraction: float) -> int:
+    """Fischler & Bolles' bound: the number of 4-point samples after which
+    one free of outliers has been drawn with probability _RANSAC_CONFIDENCE,
+    when a share `inlier_fraction` of the matches are inliers."""
+    p_clean = inlier_fraction**4
+    if p_clean >= 1.0:
+        return 1
+    return math.ceil(math.log(1.0 - _RANSAC_CONFIDENCE) / math.log1p(-p_clean))
+
+
 def estimate_homography(
     ms: MatchSet,
     reproj_thresh: float = 2.0,
@@ -416,18 +486,33 @@ def estimate_homography(
 ) -> tuple[Homography, np.ndarray]:
     """RANSAC homography from RGB coordinates to X coordinates.
 
-    Minimal 4-point samples are drawn with probability proportional to match
-    confidence, solved with Hartley-normalized DLT, scored by MSAC over the
-    symmetric transfer error, and the winner is refit on all of its inliers.
-    Deterministic for a fixed seed.
+    Minimal 4-point samples are drawn without replacement with probability
+    proportional to match confidence (uniformly when every confidence is 0;
+    zero-confidence matches are otherwise never drawn), _SAMPLE_CHUNK at a
+    time. Each chunk is screened for collinear triples and solved with
+    Hartley-normalized DLT in one batch. The models are then scored one at
+    a time, in draw order, by MSAC over the symmetric transfer error, and
+    the winner is refit on all of its inliers. Deterministic for a fixed
+    seed.
+
+    `max_iters` is an upper bound on the samples drawn. Sampling stops as
+    soon as a sample free of outliers has been drawn with 99 % confidence
+    (_RANSAC_CONFIDENCE), judged from the unweighted inlier fraction of the
+    best model so far.
 
     Returns (homography, inlier mask). Raises EstimationFailedError when
-    fewer than 4 matches exist or every sample is degenerate; callers fall
-    back to the identity warp.
+    fewer than 4 matches, or fewer than 4 of non-zero confidence, exist or
+    every sample is degenerate; callers fall back to the identity warp.
     """
     n = len(ms)
     if n < 4:
         raise EstimationFailedError(f"need at least 4 matches, got {n}")
+    weights = ms.conf if ms.conf.any() else np.ones(n)
+    drawable = np.count_nonzero(weights)
+    if drawable < 4:
+        raise EstimationFailedError(
+            f"need at least 4 matches of non-zero confidence, got {drawable}"
+        )
     src = ms.p_rgb
     dst = ms.p_x
     t_src = _normalizing_transform(src)
@@ -435,9 +520,6 @@ def estimate_homography(
     src_n = _apply_homography(t_src, src)
     dst_n = _apply_homography(t_dst, dst)
     t_dst_inv = np.linalg.inv(t_dst)
-
-    total_conf = ms.conf.sum()
-    probs = ms.conf / total_conf if total_conf > 0 else None
     rng = np.random.default_rng(seed)
 
     src_cols = (np.ascontiguousarray(src[:, 0]), np.ascontiguousarray(src[:, 1]))
@@ -446,23 +528,29 @@ def estimate_homography(
     best_score = np.inf
     best_mask: np.ndarray | None = None
     best_h: np.ndarray | None = None
-    for _ in range(max_iters):
-        idx = rng.choice(n, size=4, replace=False, p=probs)
-        if _has_collinear_triple(src_n[idx]) or _has_collinear_triple(dst_n[idx]):
-            continue
-        h_n = _dlt(src_n[idx], dst_n[idx])
-        if h_n is None:
-            continue
+    drawn, limit = 0, max_iters
+    while drawn < limit:
+        idx = _draw_samples(weights, rng, min(_SAMPLE_CHUNK, limit - drawn))
+        src_s, dst_s = src_n[idx], dst_n[idx]
+        h_n, usable = _dlt_minimal(src_s, dst_s)
         h = t_dst_inv @ h_n @ t_src
-        if abs(h[2, 2]) < 1e-12 or abs(np.linalg.det(h)) < 1e-12:
-            continue
-        err = _symmetric_transfer_error(h, src_cols, dst_cols)
-        score = np.minimum(err * err, thresh_sq).sum()
-        mask = err < reproj_thresh
-        if score < best_score and mask.sum() >= 4:
-            best_score = score
-            best_mask = mask
-            best_h = h
+        usable &= ~(_collinear_samples(src_s) | _collinear_samples(dst_s))
+        usable &= (np.abs(h[:, 2, 2]) >= 1e-12) & (np.abs(np.linalg.det(h)) >= 1e-12)
+        for k in range(len(idx)):
+            if drawn == limit:
+                break
+            drawn += 1
+            if not usable[k]:
+                continue
+            err = _symmetric_transfer_error(h[k], src_cols, dst_cols)
+            score = np.minimum(err * err, thresh_sq).sum()
+            mask = err < reproj_thresh
+            inliers = int(mask.sum())
+            if score < best_score and inliers >= 4:
+                best_score = score
+                best_mask = mask
+                best_h = h[k]
+                limit = min(max_iters, _samples_needed(inliers / n))
 
     if best_h is None:
         raise EstimationFailedError("no non-degenerate RANSAC sample produced a model")

@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. The benchmark-trend criteria average 5 seeded trials each; the whole
-module takes about 10 minutes single-threaded (625 s on a 2-vCPU VM, most
+module takes about 6 minutes single-threaded (354 s on a 2-vCPU VM, most
 of it in criteria 3 and 4).
 """
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from rgbxalign import matching
 from rgbxalign.errors import EstimationFailedError, MatchingError
 from rgbxalign.imgcore import Image
 from rgbxalign.matching import (
@@ -223,6 +224,149 @@ class TestHomography:
         back = np.linalg.inv(scale) @ h2.h @ scale
         back /= back[2, 2]
         assert np.abs(back - h1.h).max() < 1e-9
+
+    def test_zero_confidence_matches_never_drawn(self, rng):
+        h_true = np.array([[0.98, 0.03, 6.0], [-0.02, 1.01, -3.0], [2e-5, -1e-5, 1.0]])
+        exact = np.array([[20.0, 30.0], [25.0, 210.0], [200.0, 40.0], [220.0, 230.0]])
+        junk = rng.uniform(0, 250, (200, 2))
+        src = np.concatenate([exact, junk])
+        dst = np.concatenate([project(h_true, exact), rng.uniform(0, 250, (200, 2))])
+        conf = np.concatenate([np.ones(4), np.zeros(200)])
+        hom, mask = estimate_homography(MatchSet("a", "b", src, dst, conf), seed=2)
+        assert np.abs(hom.h - h_true).max() < 1e-6
+        assert np.array_equal(np.flatnonzero(mask), np.arange(4))
+
+    def test_all_zero_confidence_draws_uniformly(self, rng):
+        h_true = np.array([[1.02, -0.01, -4.0], [0.01, 0.99, 5.0], [0.0, 1e-5, 1.0]])
+        src = rng.uniform(10, 240, (100, 2))
+        ms = MatchSet("a", "b", src, project(h_true, src), np.zeros(100))
+        hom, mask = estimate_homography(ms, seed=5)
+        assert mask.all()
+        assert np.abs(hom.h - h_true).max() < 1e-6
+
+    @pytest.mark.parametrize("nonzero", [1, 3])
+    def test_too_few_confident_matches(self, rng, nonzero):
+        src = rng.uniform(0, 100, (20, 2))
+        conf = np.zeros(20)
+        conf[:nonzero] = 0.5
+        with pytest.raises(EstimationFailedError, match="non-zero confidence"):
+            estimate_homography(MatchSet("a", "b", src, src + 1.0, conf))
+
+
+def count_scored(monkeypatch):
+    """Count the models scored over all matches, the refit's one included."""
+    calls = []
+    score = matching._symmetric_transfer_error
+
+    def spy(*args):
+        calls.append(1)
+        return score(*args)
+
+    monkeypatch.setattr(matching, "_symmetric_transfer_error", spy)
+    return calls
+
+
+class TestStopping:
+    def test_noise_free_stops_at_once(self, rng, monkeypatch):
+        h_true = np.array([[0.99, 0.01, 4.0], [-0.02, 1.02, -6.0], [1e-5, -1e-5, 1.0]])
+        src = rng.uniform(10, 240, (200, 2))
+        ms = MatchSet("a", "b", src, project(h_true, src), rng.random(200))
+        scored = count_scored(monkeypatch)
+        _, mask = estimate_homography(ms, max_iters=500, seed=0)
+        assert mask.all()
+        assert len(scored) <= 10
+
+    def test_criterion_8_data_stops_early(self, monkeypatch):
+        # the data of acceptance criterion 8: 40 % gross outliers
+        h_true = np.array([[0.99, 0.015, 5.0], [-0.01, 1.01, -4.0], [1e-5, -2e-5, 1.0]])
+        scored = count_scored(monkeypatch)
+        counts = []
+        for seed in range(20):
+            trial_rng = np.random.default_rng(seed)
+            src = trial_rng.uniform(10, 246, (200, 2))
+            dst = project(h_true, src) + trial_rng.normal(0, 0.5, (200, 2))
+            out = trial_rng.random(200) < 0.4
+            dst[out] = trial_rng.uniform(0, 255, (int(out.sum()), 2))
+            ms = MatchSet("a", "b", src, dst, np.full(200, 0.8))
+            before = len(scored)
+            hom, _ = estimate_homography(ms, reproj_thresh=2.0, max_iters=500, seed=seed)
+            counts.append(len(scored) - before)
+            inl = ~out
+            err = np.linalg.norm(project(hom.h, src[inl]) - project(h_true, src[inl]), axis=1)
+            assert err.mean() <= 1.0
+        assert max(counts) <= 250
+
+    def test_all_collinear_draws_the_cap(self, monkeypatch):
+        pts = np.column_stack([np.arange(10, dtype=float), np.arange(10, dtype=float)])
+        ms = MatchSet("a", "b", pts, pts + 1.0, np.ones(10))
+        scored = count_scored(monkeypatch)
+        drawn = []
+        draw = matching._draw_samples
+
+        def draw_spy(weights, rng, count):
+            drawn.append(count)
+            return draw(weights, rng, count)
+
+        monkeypatch.setattr(matching, "_draw_samples", draw_spy)
+        with pytest.raises(EstimationFailedError):
+            estimate_homography(ms, max_iters=100, seed=1)
+        assert sum(drawn) == 100
+        assert not scored
+
+
+def has_collinear_triple(pts, eps=1e-6):
+    """Scalar reference for `_collinear_samples`, one (4, 2) sample."""
+    from itertools import combinations
+
+    for i, j, k in combinations(range(len(pts)), 3):
+        v1 = pts[j] - pts[i]
+        v2 = pts[k] - pts[i]
+        if abs(v1[0] * v2[1] - v1[1] * v2[0]) < eps:
+            return True
+    return False
+
+
+class TestBatchedKernels:
+    def test_batched_dlt_matches_scalar(self, rng):
+        src = rng.normal(size=(200, 4, 2))
+        dst = src + rng.normal(scale=0.3, size=(200, 4, 2))
+        h, usable = matching._dlt_minimal(src, dst)
+        assert usable.all()
+        for k in range(200):
+            ref = matching._dlt(src[k], dst[k])
+            scale = np.abs(ref).max()
+            assert np.abs(h[k] - ref).max() <= 1e-9 * scale
+
+    def test_collinearity_matches_scalar(self, rng):
+        pts = rng.normal(size=(300, 4, 2))
+        # put a third point on (or within rounding of) the line of two others
+        near = rng.random(300) < 0.5
+        t = rng.normal(size=300)
+        line = pts[:, 0] + t[:, None] * (pts[:, 1] - pts[:, 0])
+        pts[near, 3] = line[near] + rng.choice([0.0, 1e-7, 1e-5], size=(int(near.sum()), 1))
+        got = matching._collinear_samples(pts)
+        want = np.array([has_collinear_triple(p) for p in pts])
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < 300
+
+    def test_draws_follow_weights(self):
+        """Each draw is proportional to weight among the matches left."""
+        from itertools import permutations
+
+        weights = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 0.5, 0.0, 4.0])
+        idx = matching._draw_samples(weights, np.random.default_rng(0), 20000)
+        assert np.all(weights[idx] > 0)
+        assert np.all(np.diff(np.sort(idx, axis=1), axis=1) > 0)
+        # exact per-position marginals by enumerating every ordered sample
+        want = np.zeros((4, len(weights)))
+        for sample in permutations(np.flatnonzero(weights), 4):
+            p, left = 1.0, weights.sum()
+            for i in sample:
+                p *= weights[i] / left
+                left -= weights[i]
+            want[np.arange(4), sample] += p
+        got = np.stack([np.bincount(idx[:, k], minlength=len(weights)) for k in range(4)])
+        assert np.abs(got / len(idx) - want).max() < 0.01
 
 
 class TestWarp:

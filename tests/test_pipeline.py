@@ -184,6 +184,30 @@ class TestRun:
         manifest = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=3))
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
 
+    def test_too_few_confident_matches_fall_back(self, tmp_path):
+        """A match set with 3 non-zero confidences costs its frame the
+        homography, not the run."""
+        from rgbxalign.matching import MatchSet, save_matchset
+        from rgbxalign.synthbench import NoiseModel, oracle_match
+
+        bundle = gen_sequence(SceneConfig(seed=7, size=64, frames=3, modality="nir-like"))
+        inp = tmp_path / "bundle"
+        save_bundle(bundle, inp)
+        (inp / "matches").mkdir()
+        for n, fid in enumerate(bundle.frame_ids):
+            ms = oracle_match(bundle, (n, n), NoiseModel(), 300, seed=3)
+            conf = ms.conf.copy()
+            if fid == "0001":
+                conf[3:] = 0.0
+            save_matchset(MatchSet(fid, fid, ms.p_rgb, ms.p_x, conf),
+                          inp / "matches" / f"{fid}_{fid}.txt")
+        manifest = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=1))
+        assert [f.frame for f in manifest.frames] == ["0000", "0001", "0002"]
+        assert all(f.outputs for f in manifest.frames)
+        warned = {f.frame: f.warnings for f in manifest.frames if f.warnings}
+        assert list(warned) == ["0001"]
+        assert any("homography estimation failed" in w for w in warned["0001"])
+
     def test_dump_levels(self, bench_dir, tmp_path):
         run_pipeline(fast_config(bench_dir, tmp_path / "out", dump_levels=True))
         assert list((tmp_path / "out" / "levels").glob("*.png"))
