@@ -16,14 +16,24 @@ several radii, normalized to sum to 1 per pixel), so every update is a
 convex combination and the iteration stays inside the known value range.
 Run at K ascending confidence thresholds, the per-level results feed the
 fusion stage downstream, ranked by each level's mean `reach`.
+
+The neighborhood sum is one product with a diagonal-sparse operator per
+iteration. `AffinityField` holds the weights only in that layout, built once
+per frame and shared by every level, `reach` run and the fine stage:
+diagonal k lies at the flat offset of neighbor offset k. scipy's DIA kernel
+adds the diagonals into a zeroed sum one at a time in storage order, so each
+pixel's sum runs in offset order, as in the scalar reference recurrence, and
+the result is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import dia_array
 from scipy.spatial import cKDTree
 
 from .errors import DensifyError
@@ -61,20 +71,37 @@ class DensifyConfig:
             raise ValueError("thresholds must be ascending and within [0, 1)")
 
 
-@dataclass(frozen=True)
 class AffinityField:
-    """Per-pixel normalized neighbor weights.
+    """Per-pixel normalized neighbor weights, held as one diagonal-sparse operator.
 
-    weights[k] pairs with offsets[k]; out-of-bounds neighbors carry weight 0
-    and each pixel's weights sum to 1.
+    `weights[k]` (K, H, W) pairs with `offsets[k]`; out-of-bounds neighbors
+    carry weight 0 and each pixel's weights sum to 1. The weights are stored
+    only in `operator`: pixel (r, c) has flat index r * stride + c, and
+    diagonal k, at flat offset dr * stride + dc, holds weights[k] shifted to
+    the column it multiplies. So `operator @ x` adds w_k * x[p + offset_k]
+    into a zeroed sum in offset order at every pixel p, as the reference
+    recurrence does. `stride` is W unless the raster is narrower than the
+    offsets' column span; there it is widened with zero columns so that
+    distinct offsets keep distinct diagonals. `weights` is rebuilt from the
+    operator on each access.
     """
 
-    weights: np.ndarray  # (K, H, W)
-    offsets: tuple[tuple[int, int], ...]
+    def __init__(self, weights: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> None:
+        self._build(np.array(weights, dtype=np.float64), offsets)
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 3 or w.shape[0] != len(self.offsets):
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> AffinityField:
+        """The field of float64 `weights`, built in their buffer, which is overwritten.
+
+        For a caller that drops `weights` afterwards: no second (K, H, W)
+        copy is held while the field is built.
+        """
+        field = cls.__new__(cls)
+        field._build(weights, offsets)
+        return field
+
+    def _build(self, w: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> None:
+        if w.ndim != 3 or w.shape[0] != len(offsets):
             raise ValueError("weights must be (K, H, W) matching offsets")
         if not np.all(np.isfinite(w)) or w.min() < 0.0:
             raise ValueError("affinity weights must be finite and non-negative")
@@ -82,14 +109,64 @@ class AffinityField:
         if np.abs(sums - 1.0).max() > 1e-6:
             raise ValueError("per-pixel affinity weights must sum to 1")
         height, width = w.shape[1:]
-        for weight, (dr, dc) in zip(w, self.offsets):
+        for weight, (dr, dc) in zip(w, offsets):
             rows = slice(max(0, height - dr), None) if dr >= 0 else slice(None, -dr)
             cols = slice(max(0, width - dc), None) if dc >= 0 else slice(None, -dc)
             if weight[rows].any() or weight[:, cols].any():
                 raise ValueError("out-of-bounds neighbors must carry weight 0")
-        w = np.ascontiguousarray(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        self.offsets = tuple(offsets)
+        self.shape = (height, width)
+        self.stride = max(width, 2 * max((abs(dc) for _, dc in offsets), default=0) + 1)
+        if self.stride > width:
+            padded = np.zeros((len(offsets), height, self.stride))
+            padded[..., :width] = w
+            w = padded
+        size = height * self.stride
+        data = w.reshape(len(offsets), size)
+        flat_offsets = [dr * self.stride + dc for dr, dc in offsets]
+        # each row moves from pixel to column order in place; numpy buffers
+        # the overlapping copy
+        for row, offset in zip(data, flat_offsets):
+            cols, pixels = _diagonal_span(offset, size)
+            row[cols] = row[pixels]
+            row[: cols.start] = 0.0
+            row[cols.stop :] = 0.0
+        data.flags.writeable = False
+        self.operator = dia_array((data, flat_offsets), shape=(size, size))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (K, H, W) weights, rebuilt from the operator."""
+        data = self.operator.data
+        size = data.shape[1]
+        flat = np.zeros_like(data)
+        for row, diagonal, offset in zip(flat, data, self.operator.offsets):
+            cols, pixels = _diagonal_span(int(offset), size)
+            row[pixels] = diagonal[cols]
+        return np.ascontiguousarray(self.raster(flat))
+
+    def flatten(self, raster: np.ndarray) -> np.ndarray:
+        """An (H, W) raster as a new flat vector in the operator's pixel order."""
+        height, width = self.shape
+        out = np.zeros((height, self.stride))
+        out[:, :width] = raster
+        return out.ravel()
+
+    def raster(self, flat: np.ndarray) -> np.ndarray:
+        """The (..., H, W) raster view of vectors in the operator's pixel order."""
+        height, width = self.shape
+        return flat.reshape(*flat.shape[:-1], height, self.stride)[..., :width]
+
+
+def _diagonal_span(offset: int, size: int) -> tuple[slice, slice]:
+    """Column slice of a diagonal at `offset` and the pixel slice it weighs.
+
+    Entry j of the diagonal multiplies pixel j and weighs the neighbor sum of
+    pixel j - offset; a diagonal wholly off the raster spans nothing.
+    """
+    start, stop = max(0, offset), min(size, size + offset)
+    stop = max(start, stop)
+    return slice(start, stop), slice(start - offset, stop - offset)
 
 
 def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
@@ -136,7 +213,7 @@ def compute_affinities(rgb: Image) -> AffinityField:
     if total.min() <= 0.0:
         raise DensifyError("pixel with no in-bounds neighbor")
     weights /= total
-    return AffinityField(weights, OFFSETS)
+    return AffinityField._adopt(weights, OFFSETS)
 
 
 def init_dense(sparse: SparseMap) -> Image:
@@ -179,53 +256,41 @@ def propagate(
     Appends the max-abs update of every iteration to `step_sizes` if given.
     """
     cfg = cfg or DensifyConfig()
-    current = np.array(l0.data, dtype=np.float64)
-    if current.ndim != 2:
+    if l0.data.ndim != 2:
         raise DensifyError("propagation operates on single-channel rasters")
+    if l0.shape != aff.shape:
+        raise DensifyError("raster shape differs from the affinity field's")
     anchor = sparse.known.astype(np.float64)
     if cfg.use_confidence:
         anchor = anchor * cm.conf
     xm = np.where(sparse.known, sparse.values, 0.0)
     known_vals = sparse.values[sparse.known]
-    lo = min(current.min(), known_vals.min()) if known_vals.size else current.min()
-    hi = max(current.max(), known_vals.max()) if known_vals.size else current.max()
+    lo = min(l0.data.min(), known_vals.min()) if known_vals.size else l0.data.min()
+    hi = max(l0.data.max(), known_vals.max()) if known_vals.size else l0.data.max()
 
-    # neighbors are read from a zero-margined flat copy, so every shift is a
-    # contiguous slice; a column shift that leaves the raster wraps into the
-    # adjacent row, where the neighbor's weight is 0 and so is its product.
-    # Bands of about 16k pixels keep the operands in cache. Products and sums
-    # still run per pixel in offset order, as in the reference.
-    height, width = current.shape
-    size = height * width
-    pad = max((max(abs(dr), abs(dc)) for dr, dc in aff.offsets), default=0)
-    margin = pad * width + pad
-    flat = np.zeros(size + 2 * margin)
-    shifts = [margin + dr * width + dc for dr, dc in aff.offsets]
-    weights = aff.weights.reshape(len(shifts), size)
-    band = 16384
-    keep = (1.0 - anchor).ravel()
-    pull = (anchor * xm).ravel()
-    term = np.empty(band)
-    current = current.ravel()
+    # one product with the affinity operator per iteration: it sums
+    # w_k * L[p + offset_k] per pixel in offset order, as the reference does.
+    # Padding columns, if any, have no weights, keep 0 and pull 0, so they
+    # stay 0.
+    keep = aff.flatten(1.0 - anchor)
+    pull = aff.flatten(anchor * xm)
+    current = aff.flatten(l0.data)
+    delta = np.empty_like(current)
     for _ in range(cfg.iterations):
-        flat[margin : margin + size] = current
-        acc = np.zeros(size)
-        for p0 in range(0, size, band):
-            p1 = min(size, p0 + band)
-            acc_band, term_band = acc[p0:p1], term[: p1 - p0]
-            for shift, weight in zip(shifts, weights):
-                np.multiply(weight[p0:p1], flat[shift + p0 : shift + p1], out=term_band)
-                acc_band += term_band
-        nxt = keep * acc + pull
-        step = float(np.abs(nxt - current).max())
+        nxt = aff.operator @ current
+        nxt *= keep
+        nxt += pull
+        np.subtract(nxt, current, out=delta)
+        step = float(np.abs(delta, out=delta).max())
         if step_sizes is not None:
             step_sizes.append(step)
         current = nxt
-        if not np.all(np.isfinite(current)):
+        # a non-finite value anywhere makes the step non-finite
+        if not math.isfinite(step):
             raise DensifyError("non-finite value during propagation")
         if step < cfg.tol:
             break
-    current = current.reshape(height, width)
+    current = aff.raster(current)
     if current.min() < lo - 1e-9 or current.max() > hi + 1e-9:
         raise DensifyError("propagation escaped the convex value bound")
     return Image(current, units=l0.units)

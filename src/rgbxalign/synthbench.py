@@ -595,6 +595,63 @@ def with_value_noise(img: Image, sigma: float, seed: int = 0) -> Image:
 # ---------------------------------------------------------------------------
 
 
+# an outlier whose redraws land this many times within `min_dist` of its
+# truth keeps its inlier position
+_REDRAW_TRIES = 64
+
+
+def _redraw_outliers(
+    rng: np.random.Generator, truth: np.ndarray, shape: tuple[int, int], min_dist: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform positions at least `min_dist` from each row of `truth`.
+
+    Consumes `rng` exactly as drawing (row, col) pairs one at a time would:
+    row after row of `truth`, each taking draws until one lands far enough
+    or _REDRAW_TRIES have missed. Each round draws one pair per row still
+    pending and hands the pairs out in that order, so it never draws a pair
+    the one-at-a-time loop would not. Returns the positions and the mask of
+    rows that got one.
+    """
+    height, width = shape
+    drawn = np.zeros_like(truth)
+    ok = np.zeros(len(truth), dtype=bool)
+
+    def far(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(cand - truth[rows], axis=-1) >= min_dist
+
+    pending = np.arange(len(truth))
+    missed = 0  # misses of pending[0]; the rows after it have none yet
+    while pending.size:
+        cand = rng.uniform(0.0, np.tile([height - 1.0, width - 1.0], (pending.size, 1)))
+        pos = row = 0
+        while pos < len(cand):
+            # rows row, row+1, ... take draws pos, pos+1, ... while these land
+            span = len(cand) - pos
+            hits = far(cand[pos:], pending[row : row + span])
+            run = span if hits.all() else int(np.argmin(hits))
+            ok[pending[row : row + run]] = True
+            drawn[pending[row : row + run]] = cand[pos : pos + run]
+            pos, row = pos + run, row + run
+            if run:
+                missed = 0
+            if pos == len(cand):
+                break
+            # draw pos misses: this row takes the next draws until one lands
+            tries = min(len(cand) - pos, _REDRAW_TRIES - missed)
+            hits = far(cand[pos : pos + tries], pending[row])
+            if hits.any():
+                pos += int(np.argmax(hits))
+                ok[pending[row]] = True
+                drawn[pending[row]] = cand[pos]
+                pos, row, missed = pos + 1, row + 1, 0
+            else:
+                pos, missed = pos + tries, missed + tries
+                if missed == _REDRAW_TRIES:
+                    row, missed = row + 1, 0
+        pending = pending[row:]
+    return drawn, ok
+
+
 def oracle_match(
     bundle: GroundTruthBundle,
     pair: tuple[int, int],
@@ -637,12 +694,8 @@ def oracle_match(
 
     min_dist = max(8.0, 3.0 * noise.sigma * math.sqrt(2.0) + 2.0)
     out_idx = np.flatnonzero(is_outlier)
-    for idx in out_idx:
-        for _ in range(64):
-            cand = np.array([rng.uniform(0.0, height - 1), rng.uniform(0.0, width - 1)])
-            if np.linalg.norm(cand - truth[idx]) >= min_dist:
-                p_x[idx] = cand
-                break
+    drawn, ok = _redraw_outliers(rng, truth[out_idx], bundle.shape, min_dist)
+    p_x[out_idx[ok]] = drawn[ok]
 
     err = np.linalg.norm(p_x - truth, axis=1)
     margin = 2.0 / (1.0 + np.exp(err / 2.0))

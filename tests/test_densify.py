@@ -23,6 +23,7 @@ def reference_recurrence(l0, aff, xm, anchor, iters):
     """Separately coded scalar loop of the anchored-neighborhood recurrence."""
     cur = l0.copy()
     height, width = cur.shape
+    weights = aff.weights
     for _ in range(iters):
         nxt = np.zeros_like(cur)
         for r in range(height):
@@ -31,7 +32,7 @@ def reference_recurrence(l0, aff, xm, anchor, iters):
                 for k, (dr, dc) in enumerate(aff.offsets):
                     rr, cc = r + dr, c + dc
                     neighbor = cur[rr, cc] if 0 <= rr < height and 0 <= cc < width else 0.0
-                    acc = acc + aff.weights[k, r, c] * neighbor
+                    acc = acc + weights[k, r, c] * neighbor
                 nxt[r, c] = (1.0 - anchor[r, c]) * acc + anchor[r, c] * xm[r, c]
         cur = nxt
     return cur
@@ -80,6 +81,11 @@ class TestAffinities:
         for k, (dr, dc) in enumerate(OFFSETS):
             if abs(dr) >= shape[0] or abs(dc) >= shape[1]:
                 assert not aff.weights[k].any()
+
+    @pytest.mark.parametrize("shape", [(20, 20), (3, 30), (30, 3), (5, 7)])
+    def test_weights_round_trip(self, rng, shape):
+        w = compute_affinities(Image(rng.random((*shape, 3)))).weights
+        assert np.array_equal(AffinityField(w, OFFSETS).weights, w)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -153,6 +159,29 @@ class TestPropagate:
             ref = reference_recurrence(init_dense(sp).data, aff, xm,
                                        sp.known.astype(np.float64), 4)
             assert np.array_equal(mine.data, ref)
+
+    # whole diagonals fall off these rasters; on the 3-wide one, offsets such
+    # as (0, 2) and (1, -1) land on the same flat diagonal of the raster
+    @pytest.mark.parametrize("shape", [(3, 30), (30, 3), (5, 7)])
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_bitwise_vs_reference_on_thin_rasters(self, rng, shape, use_confidence):
+        sp = random_sparse(rng, shape, 0.3)
+        conf = ConfidenceMap(np.where(sp.known, rng.uniform(0.1, 1.0, shape), 0.0))
+        aff = compute_affinities(Image(rng.random((*shape, 3))))
+        cfg = DensifyConfig(iterations=6, tol=0.0, use_confidence=use_confidence)
+        mine = propagate(init_dense(sp), aff, sp, conf, cfg)
+        anchor = sp.known.astype(np.float64)
+        if use_confidence:
+            anchor = anchor * conf.conf
+        ref = reference_recurrence(init_dense(sp).data, aff, np.where(sp.known, sp.values, 0.0),
+                                   anchor, 6)
+        assert np.array_equal(mine.data, ref)
+
+    def test_raster_shape_must_match_field(self, rng):
+        sp = random_sparse(rng, (12, 16), 0.3)
+        aff = compute_affinities(Image(rng.random((16, 12, 3))))
+        with pytest.raises(DensifyError, match="shape"):
+            propagate(init_dense(sp), aff, sp, ConfidenceMap(sp.known.astype(float)))
 
     def test_min_max_bound(self, rng):
         sp = random_sparse(rng, (20, 20), 0.2)

@@ -10,8 +10,10 @@ from rgbxalign.fuse_filter import PatchGrid
 from rgbxalign.imgcore import Image, bilinear_sample
 from rgbxalign.synthbench import (
     BILINEAR_BOUND,
+    _REDRAW_TRIES,
     NoiseModel,
     SceneConfig,
+    _redraw_outliers,
     consistency_metric,
     corrupt_with_mask,
     gen_sequence,
@@ -20,6 +22,20 @@ from rgbxalign.synthbench import (
     save_bundle,
     with_value_noise,
 )
+
+
+def redraw_one_at_a_time(rng, truth, shape, min_dist):
+    """The scalar loop `_redraw_outliers` replaces: one pair per draw."""
+    height, width = shape
+    drawn = np.zeros_like(truth)
+    ok = np.zeros(len(truth), dtype=bool)
+    for idx in range(len(truth)):
+        for _ in range(_REDRAW_TRIES):
+            cand = np.array([rng.uniform(0.0, height - 1), rng.uniform(0.0, width - 1)])
+            if np.linalg.norm(cand - truth[idx]) >= min_dist:
+                drawn[idx], ok[idx] = cand, True
+                break
+    return drawn, ok
 
 
 class TestGeneration:
@@ -123,6 +139,25 @@ class TestOracle:
         a = oracle_match(small_bundle, (0, 2), nm, 300, seed=7)
         b = oracle_match(small_bundle, (0, 2), nm, 300, seed=7)
         assert np.array_equal(a.p_x, b.p_x) and np.array_equal(a.conf, b.conf)
+
+
+class TestOutlierRedraw:
+    # a draw misses a sixth to half of the time at 8 and 14; at 30 central
+    # outliers hit the try cap and corner ones get through; 60 is beyond
+    # the image diagonal, so every outlier hits the cap
+    @pytest.mark.parametrize("min_dist", [8.0, 14.0, 30.0, 60.0])
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    def test_same_draws_as_one_at_a_time(self, min_dist, count):
+        shape = (24, 40)
+        truth = np.random.default_rng(count).uniform(0.0, [23.0, 39.0], (count, 2))
+        rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        want, want_ok = redraw_one_at_a_time(rng_ref, truth, shape, min_dist)
+        got, got_ok = _redraw_outliers(rng, truth, shape, min_dist)
+        assert np.array_equal(got_ok, want_ok)
+        assert np.array_equal(got[got_ok], want[want_ok])
+        assert rng.random() == rng_ref.random()
+        if min_dist == 60.0:
+            assert not got_ok.any()
 
 
 class TestConsistencyMetric:
