@@ -179,7 +179,7 @@ def _cmd_densify(args: argparse.Namespace) -> int:
     sparse, conf = accumulate_matches([ms], [load_image(args.x)], ms.rgb_frame, rgb.shape)
     certainty: dict[float, float] = {}
     levels = densify_multilevel(compute_affinities(rgb), sparse, conf, DensifyConfig(), certainty)
-    fused = fuse_filter.fuse_levels([fuse_filter.enhance(img, rgb) for img in levels.values()],
+    fused = fuse_filter.fuse_levels(fuse_filter.enhance(list(levels.values()), rgb),
                                     [certainty[d] for d in levels] if certainty else None)
     save_image(fused, args.out, bit_depth=16)
     print(f"densified {sparse.num_known} known pixels over {len(levels)} levels -> {args.out}")

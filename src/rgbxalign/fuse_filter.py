@@ -11,6 +11,7 @@ the concentration-based rejection of badly densified patches.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,78 @@ def _box_filter(arr: np.ndarray, radius: int) -> np.ndarray:
     return along(along(arr, radius).T, radius).T
 
 
-def guided_filter(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """Guided filter with an (H, W, C) guide (local affine model per window).
+@dataclass(frozen=True)
+class GuideFactor:
+    """The part of the guided filter that depends on the guide alone.
+
+    `channels` are the guide's C planes (C is 1 or 3), `count` the number of
+    pixels in each clamped window and `means` the window mean of each plane.
+    `inverse` holds the distinct entries of (Sigma + GUIDED_EPS * I)^-1 per
+    pixel, Sigma being the window covariance of the planes: 1 / (var + eps)
+    for C = 1, the upper triangle row by row for C = 3 (the inverse is
+    symmetric, so 6 planes stand for the 3 x 3). `radius` 0 marks a raster
+    too small to filter.
+    """
+
+    channels: tuple[np.ndarray, ...]
+    radius: int
+    count: np.ndarray | None = None
+    means: tuple[np.ndarray, ...] = ()
+    inverse: tuple[np.ndarray, ...] = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.channels[0].shape
+
+
+# entry of GuideFactor.inverse at (row, col) of the C x C inverse
+_SYMMETRIC = {1: ((0,),), 3: ((0, 1, 2), (1, 3, 4), (2, 4, 5))}
+
+
+def factor_guide(rgb: Image) -> GuideFactor:
+    """Window statistics and the regularized covariance inverse of a guide.
+
+    Computed once per frame and shared by every level `guided_filter`
+    smooths against it. The 3 x 3 inverse is the adjugate over the
+    determinant; Sigma + eps * I is symmetric positive definite, so the
+    determinant is at least eps^3.
+    """
+    guide = rgb.data.reshape(rgb.shape + (rgb.channels,))
+    channels = tuple(guide[:, :, c] for c in range(rgb.channels))
+    r = min(GUIDED_RADIUS, (min(rgb.shape) - 1) // 2)
+    if r < 1:
+        return GuideFactor(channels, 0)
+    n = _box_filter(np.ones(rgb.shape), r)
+    means = tuple(_box_filter(ch, r) / n for ch in channels)
+    # upper triangle of Sigma + eps * I, row by row
+    sigma = []
+    for c1 in range(len(channels)):
+        for c2 in range(c1, len(channels)):
+            cov = _box_filter(channels[c1] * channels[c2], r) / n - means[c1] * means[c2]
+            if c1 == c2:
+                cov += GUIDED_EPS
+            sigma.append(cov)
+    if len(channels) == 1:
+        return GuideFactor(channels, r, n, means, (np.divide(1.0, sigma[0], out=sigma[0]),))
+    s00, s01, s02, s11, s12, s22 = sigma
+    inverse = (
+        s11 * s22 - s12 * s12,
+        s02 * s12 - s01 * s22,
+        s01 * s12 - s02 * s11,
+        s00 * s22 - s02 * s02,
+        s01 * s02 - s00 * s12,
+        s00 * s11 - s01 * s01,
+    )
+    det = s00 * inverse[0]
+    det += s01 * inverse[1]
+    det += s02 * inverse[2]
+    for entry in inverse:
+        entry /= det
+    return GuideFactor(channels, r, n, means, inverse)
+
+
+def guided_filter(factor: GuideFactor, src: np.ndarray) -> np.ndarray:
+    """Guided filter of `src` against a factored (H, W, C) guide.
 
     The colour form of He et al., Guided Image Filtering (TPAMI 2013); with
     C = 1 it is their single-channel filter.
@@ -62,55 +133,53 @@ def guided_filter(guide: np.ndarray, src: np.ndarray) -> np.ndarray:
     structure the guide can explain (per-channel mixes included) while
     still averaging away variation uncorrelated with it.
     """
-    if guide.ndim != 3 or guide.shape[:2] != src.shape:
-        raise FilterError("guided filter needs an (H, W, C) guide matching the source")
-    r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
+    if src.shape != factor.shape:
+        raise FilterError("guided filter needs a guide matching the source")
+    r = factor.radius
     if r < 1:
         return src.copy()
-    n = _box_filter(np.ones_like(src), r)
-    depth = guide.shape[2]
-
-    means = np.stack([_box_filter(guide[:, :, c], r) / n for c in range(depth)], axis=-1)
+    n = factor.count
     mean_p = _box_filter(src, r) / n
-    cov_ip = np.stack(
-        [_box_filter(guide[:, :, c] * src, r) / n - means[:, :, c] * mean_p
-         for c in range(depth)],
-        axis=-1,
-    )
-    # symmetric C x C guide covariance per pixel, regularized by GUIDED_EPS * I
-    sigma = np.empty(src.shape + (depth, depth))
-    for c1 in range(depth):
-        for c2 in range(c1, depth):
-            cov = (
-                _box_filter(guide[:, :, c1] * guide[:, :, c2], r) / n
-                - means[:, :, c1] * means[:, :, c2]
-            )
-            sigma[:, :, c1, c2] = cov
-            sigma[:, :, c2, c1] = cov
-        sigma[:, :, c1, c1] += GUIDED_EPS
-
-    a = np.linalg.solve(sigma, cov_ip[:, :, :, None])[:, :, :, 0]
-    b = mean_p - np.einsum("ijc,ijc->ij", a, means)
-    mean_a = np.stack([_box_filter(a[:, :, c], r) / n for c in range(depth)], axis=-1)
-    mean_b = _box_filter(b, r) / n
-    return np.einsum("ijc,ijc->ij", mean_a, guide) + mean_b
+    cov_ip = [_box_filter(ch * src, r) / n - m * mean_p
+              for ch, m in zip(factor.channels, factor.means)]
+    # a = (Sigma + eps * I)^-1 cov_ip; b = mean_p - a . means
+    b = mean_p
+    out = np.zeros_like(src)
+    for row, ch, m in zip(_SYMMETRIC[len(cov_ip)], factor.channels, factor.means):
+        a = factor.inverse[row[0]] * cov_ip[0]
+        for k, cov in zip(row[1:], cov_ip[1:]):
+            a += factor.inverse[k] * cov
+        b -= a * m
+        mean_a = _box_filter(a, r)
+        mean_a /= n
+        mean_a *= ch
+        out += mean_a
+    mean_b = _box_filter(b, r)
+    mean_b /= n
+    out += mean_b
+    return out
 
 
-def enhance(xd: Image, rgb: Image) -> Image:
-    """RGB-guided smoothing plus unsharp masking, clamped to the input range.
+def enhance(levels: Sequence[Image], rgb: Image) -> list[Image]:
+    """RGB-guided smoothing plus unsharp masking of each level of a frame.
 
     Stands in for the learned enhancement: one guided-filter pass
     (GUIDED_RADIUS, GUIDED_EPS, every channel of the RGB frame as guide)
     suppresses propagation noise the RGB image cannot explain, then unsharp
-    masking with amount 0.5 restores edge contrast.
+    masking with amount 0.5 restores edge contrast; each level is clamped
+    to its own input range. The guide is factored once for all levels, so
+    a level comes out the same whether enhanced alone or with others.
     """
-    if xd.shape != rgb.shape:
+    if any(xd.shape != rgb.shape for xd in levels):
         raise FilterError("enhance requires dimension-matched images")
-    src = xd.data
-    smoothed = guided_filter(rgb.data.reshape(rgb.shape + (rgb.channels,)), src)
-    sharp = smoothed + 0.5 * (smoothed - gaussian_filter(smoothed, sigma=1.0, mode="nearest"))
-    out = np.clip(sharp, src.min(), src.max())
-    return Image(out, units=xd.units)
+    factor = factor_guide(rgb)
+    out = []
+    for xd in levels:
+        src = xd.data
+        smoothed = guided_filter(factor, src)
+        sharp = smoothed + 0.5 * (smoothed - gaussian_filter(smoothed, sigma=1.0, mode="nearest"))
+        out.append(Image(np.clip(sharp, src.min(), src.max()), units=xd.units))
+    return out
 
 
 def fuse_levels(enhanced: list[Image], certainty: list[float] | None = None) -> Image:
@@ -278,21 +347,26 @@ def patch_descriptors(img: Image, grid: PatchGrid) -> FeatureMatrix:
     vote_scale = np.sqrt(mean_mag) if mean_mag > 0 else 0.0
     gates = CELL_GATE_FRAC * np.bincount(cell_of, minlength=len(hist)) * vote_scale
 
-    rows = np.empty((grid.patches, DESCRIPTOR_DIM))
-    uniform_cell = np.full(DESCRIPTOR_BINS, 1.0 / np.sqrt(DESCRIPTOR_BINS))
-    uniform = np.full(DESCRIPTOR_DIM, 1.0 / np.sqrt(DESCRIPTOR_DIM))
-    for index in range(grid.patches):
-        desc = np.zeros(DESCRIPTOR_DIM)
-        for cell in range(n_cells):
-            h = hist[index * n_cells + cell]
-            if h.sum() <= gates[index * n_cells + cell]:
-                cell_vec = uniform_cell
-            else:
-                cell_vec = h / np.linalg.norm(h)
-            desc[cell * DESCRIPTOR_BINS : (cell + 1) * DESCRIPTOR_BINS] = cell_vec
-        norm = np.linalg.norm(desc)
-        rows[index] = desc / norm if norm > 1e-12 else uniform
-    return FeatureMatrix(rows)
+    return FeatureMatrix(_normalize_cells(hist, gates, grid.patches))
+
+
+def _normalize_cells(hist: np.ndarray, gates: np.ndarray, patches: int) -> np.ndarray:
+    """(patches, DESCRIPTOR_DIM) unit rows from the cell histograms, patch by patch.
+
+    Each cell takes its own unit norm, or the uniform histogram where its
+    mass does not exceed its gate; an all-zero row would take the uniform
+    unit vector. vecdot takes each row's dot product as np.linalg.norm does
+    for one vector, so the bits are those of normalizing cell by cell.
+    """
+    cells = np.full_like(hist, 1.0 / np.sqrt(DESCRIPTOR_BINS))
+    voted = hist.sum(axis=1) > gates
+    cells[voted] = hist[voted] / np.sqrt(np.vecdot(hist[voted], hist[voted]))[:, None]
+    desc = cells.reshape(patches, DESCRIPTOR_DIM)
+    rows = np.full_like(desc, 1.0 / np.sqrt(DESCRIPTOR_DIM))
+    norm = np.sqrt(np.vecdot(desc, desc))
+    live = norm > 1e-12
+    rows[live] = desc[live] / norm[live, None]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         missing = [d for d in cfg.densify.thresholds if d not in levels]
         rec.warnings.append(f"levels omitted (no surviving pixels): {missing}")
 
-    enhanced = [fuse_filter.enhance(img, rgb) for img in levels.values()]
+    enhanced = fuse_filter.enhance(list(levels.values()), rgb)
     fused = fuse_filter.fuse_levels(
         enhanced, [certainty[d] for d in levels] if certainty else None
     )

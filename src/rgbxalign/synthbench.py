@@ -334,6 +334,15 @@ class GroundTruthBundle:
             out.append(h / h[2, 2])
         return out
 
+    @functools.cached_property
+    def _pixels(self) -> np.ndarray:
+        """(row, col) of every pixel in row-major order, as (H*W, 2) floats."""
+        height, width = self.shape
+        rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+        pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
+        pts.flags.writeable = False
+        return pts
+
     def _field(
         self,
         i: int,
@@ -342,8 +351,7 @@ class GroundTruthBundle:
         j: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         height, width = self.shape
-        rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-        pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
+        pts = self._pixels
         coords = np.zeros((height * width, 2))
         layer_map = self.layer_maps[i].ravel()
         for l in range(self.cfg.layers):
@@ -370,14 +378,16 @@ class GroundTruthBundle:
             sel = (layer_map == l) & valid
             if not sel.any():
                 continue
-            for m in range(l + 1, self.cfg.layers):
-                a, _ = bilinear_sample(alphas_dst[j][m], coords[sel, 0], coords[sel, 1])
-                keep = a <= _ALPHA_LO
-                idx = np.flatnonzero(sel)
-                valid[idx[~keep]] = False
-            a_self, _ = bilinear_sample(alphas_dst[j][l], coords[sel, 0], coords[sel, 1])
             idx = np.flatnonzero(sel)
-            valid[idx[a_self < _ALPHA_HI]] = False
+            rows, cols = coords[idx, 0], coords[idx, 1]
+            for m in range(l + 1, self.cfg.layers):
+                a, _ = bilinear_sample(alphas_dst[j][m], rows, cols)
+                valid[idx[a > _ALPHA_LO]] = False
+            # every render gives layer 0 alpha 1, so an in-bounds pixel of it
+            # cannot fall on its own layer's fringe
+            if l > 0:
+                a_self, _ = bilinear_sample(alphas_dst[j][l], rows, cols)
+                valid[idx[a_self < _ALPHA_HI]] = False
         return coords.reshape(height, width, 2), valid.reshape(height, width)
 
     def correspondence(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:

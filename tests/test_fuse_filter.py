@@ -7,13 +7,21 @@ from scipy.ndimage import gaussian_filter
 from rgbxalign.densify import compute_affinities
 from rgbxalign.errors import FilterError
 from rgbxalign.fuse_filter import (
+    DESCRIPTOR_BINS,
+    DESCRIPTOR_DIM,
+    GUIDED_EPS,
+    GUIDED_RADIUS,
     FeatureMatrix,
     PatchGrid,
     SimilarityMatrix,
     concentration_and_filter,
+    _box_filter,
+    _normalize_cells,
     enhance,
+    factor_guide,
     fine_densify,
     fuse_levels,
+    guided_filter,
     patch_descriptors,
     self_match_score,
     similarity_matrix,
@@ -32,25 +40,95 @@ class TestEnhance:
     def test_constant_identity(self, depth):
         const = Image(np.full((64, 64), 0.4))
         rgb = Image(np.full((64, 64, depth), 0.6))
-        assert np.array_equal(enhance(const, rgb).data, const.data)
+        assert np.array_equal(enhance([const], rgb)[0].data, const.data)
 
     def test_denoises(self, rng):
         gt = smooth_image(rng)
         noisy = Image(np.clip(gt.data + rng.normal(0, 0.05, gt.shape), 0, 1))
         rgb = Image(np.stack([gt.data] * 3, axis=-1))
-        assert psnr(enhance(noisy, rgb), gt) > psnr(noisy, gt)
+        assert psnr(enhance([noisy], rgb)[0], gt) > psnr(noisy, gt)
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_range_contained(self, rng, depth):
         img = smooth_image(rng)
         rgb = Image(rng.random((96, 96, depth)))
-        out = enhance(img, rgb)
+        out = enhance([img], rgb)[0]
         assert out.data.min() >= img.data.min() - 1e-12
         assert out.data.max() <= img.data.max() + 1e-12
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(FilterError):
-            enhance(Image(rng.random((8, 8))), Image(rng.random((9, 9, 3))))
+            enhance([Image(rng.random((8, 8)))], Image(rng.random((9, 9, 3))))
+
+
+def guided_filter_reference(guide, src):
+    """The guided filter solved per pixel with np.linalg.solve, guide unfactored."""
+    r = min(GUIDED_RADIUS, (min(src.shape) - 1) // 2)
+    if r < 1:
+        return src.copy()
+    n = _box_filter(np.ones_like(src), r)
+    depth = guide.shape[2]
+    means = np.stack([_box_filter(guide[:, :, c], r) / n for c in range(depth)], axis=-1)
+    mean_p = _box_filter(src, r) / n
+    cov_ip = np.stack(
+        [_box_filter(guide[:, :, c] * src, r) / n - means[:, :, c] * mean_p
+         for c in range(depth)],
+        axis=-1,
+    )
+    sigma = np.empty(src.shape + (depth, depth))
+    for c1 in range(depth):
+        for c2 in range(c1, depth):
+            cov = (
+                _box_filter(guide[:, :, c1] * guide[:, :, c2], r) / n
+                - means[:, :, c1] * means[:, :, c2]
+            )
+            sigma[:, :, c1, c2] = cov
+            sigma[:, :, c2, c1] = cov
+        sigma[:, :, c1, c1] += GUIDED_EPS
+    a = np.linalg.solve(sigma, cov_ip[:, :, :, None])[:, :, :, 0]
+    b = mean_p - np.einsum("ijc,ijc->ij", a, means)
+    mean_a = np.stack([_box_filter(a[:, :, c], r) / n for c in range(depth)], axis=-1)
+    mean_b = _box_filter(b, r) / n
+    return np.einsum("ijc,ijc->ij", mean_a, guide) + mean_b
+
+
+class TestGuideFactor:
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("shape", [(64, 80), (2 * GUIDED_RADIUS, 40), (5, 5), (2, 9)])
+    def test_matches_solve(self, rng, depth, shape):
+        guide = gaussian_filter(rng.random(shape + (depth,)), (1.5, 1.5, 0))
+        src = rng.random(shape)
+        out = guided_filter(factor_guide(Image(guide)), src)
+        assert np.abs(out - guided_filter_reference(guide, src)).max() <= 1e-12
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_constant_guide(self, rng, depth):
+        # Sigma = eps * I: the filter is the window mean of the window mean
+        guide = np.full((40, 48, depth), 0.3)
+        src = rng.random((40, 48))
+        out = guided_filter(factor_guide(Image(guide)), src)
+        assert np.abs(out - guided_filter_reference(guide, src)).max() <= 1e-12
+
+    def test_equal_channels(self, rng):
+        # rank-1 Sigma: only eps keeps Sigma + eps * I invertible
+        plane = gaussian_filter(rng.random((64, 64)), 2.0)
+        guide = np.stack([plane] * 3, axis=-1)
+        src = rng.random((64, 64))
+        out = guided_filter(factor_guide(Image(guide)), src)
+        assert np.abs(out - guided_filter_reference(guide, src)).max() <= 1e-12
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(FilterError):
+            guided_filter(factor_guide(Image(rng.random((8, 8, 3)))), rng.random((8, 9)))
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_levels_together_equal_alone(self, rng, depth):
+        rgb = Image(rng.random((48, 56, depth)))
+        levels = [smooth_image(rng, (48, 56)) for _ in range(3)]
+        together = enhance(levels, rgb)
+        assert len(together) == 3
+        for level, out in zip(levels, together):
+            assert np.array_equal(out.data, enhance([level], rgb)[0].data)
 
 
 class TestFuseLevels:
@@ -110,7 +188,40 @@ class TestPatchGrid:
             PatchGrid(20, 64, 32)
 
 
+def normalize_cells_reference(hist, gates, patches):
+    """Cell by cell and patch by patch, as patch_descriptors first did."""
+    n_cells = DESCRIPTOR_DIM // DESCRIPTOR_BINS
+    rows = np.empty((patches, DESCRIPTOR_DIM))
+    uniform_cell = np.full(DESCRIPTOR_BINS, 1.0 / np.sqrt(DESCRIPTOR_BINS))
+    uniform = np.full(DESCRIPTOR_DIM, 1.0 / np.sqrt(DESCRIPTOR_DIM))
+    for index in range(patches):
+        desc = np.zeros(DESCRIPTOR_DIM)
+        for cell in range(n_cells):
+            h = hist[index * n_cells + cell]
+            if h.sum() <= gates[index * n_cells + cell]:
+                cell_vec = uniform_cell
+            else:
+                cell_vec = h / np.linalg.norm(h)
+            desc[cell * DESCRIPTOR_BINS : (cell + 1) * DESCRIPTOR_BINS] = cell_vec
+        norm = np.linalg.norm(desc)
+        rows[index] = desc / norm if norm > 1e-12 else uniform
+    return rows
+
+
 class TestDescriptors:
+    def test_normalization_matches_cell_loop(self, rng):
+        patches = 12
+        n = patches * DESCRIPTOR_DIM // DESCRIPTOR_BINS
+        hist = rng.random((n, DESCRIPTOR_BINS)) ** 3
+        hist[rng.random(n) < 0.2] = 0.0  # voteless cells
+        hist[n - n // 12 :] = 0.0  # a voteless patch
+        gates = np.where(rng.random(n) < 0.3, hist.sum(axis=1), 0.05)  # some exactly at the gate
+        out = _normalize_cells(hist, gates, patches)
+        assert np.array_equal(out, normalize_cells_reference(hist, gates, patches))
+        assert (hist.sum(axis=1) <= gates).sum() > n // 5
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-12
+
+
     def test_identical_bitwise(self, rng):
         img = smooth_image(rng)
         grid = PatchGrid(96, 96, 32)

@@ -8,7 +8,10 @@ import pytest
 from rgbxalign.errors import MetricError, RgbxError
 from rgbxalign.fuse_filter import PatchGrid
 from rgbxalign.imgcore import Image, bilinear_sample
+from rgbxalign.matching import _apply_homography
 from rgbxalign.synthbench import (
+    _ALPHA_HI,
+    _ALPHA_LO,
     BILINEAR_BOUND,
     _REDRAW_TRIES,
     NoiseModel,
@@ -36,6 +39,45 @@ def redraw_one_at_a_time(rng, truth, shape, min_dist):
                 drawn[idx], ok[idx] = cand, True
                 break
     return drawn, ok
+
+
+def field_reference(bundle, i, maps_dst, alphas_dst, j):
+    """The correspondence field as first written: a fresh pixel grid per call
+    and every layer's own alpha sampled at its destination, layer 0's too."""
+    height, width = bundle.shape
+    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
+    coords = np.zeros((height * width, 2))
+    layer_map = bundle.layer_maps[i].ravel()
+    for l in range(bundle.cfg.layers):
+        sel = layer_map == l
+        if not sel.any():
+            continue
+        h = maps_dst[j][l] @ np.linalg.inv(bundle.maps_rgb[i][l])
+        coords[sel] = _apply_homography(h, pts[sel])
+    valid = np.ones(height * width, dtype=bool)
+    for l in range(1, bundle.cfg.layers):
+        a = bundle.alphas_rgb[i][l].ravel()
+        valid &= ~((a > _ALPHA_LO) & (a < _ALPHA_HI))
+    valid &= (
+        (coords[:, 0] >= 0.0)
+        & (coords[:, 0] <= height - 1)
+        & (coords[:, 1] >= 0.0)
+        & (coords[:, 1] <= width - 1)
+    )
+    for l in range(bundle.cfg.layers):
+        sel = (layer_map == l) & valid
+        if not sel.any():
+            continue
+        for m in range(l + 1, bundle.cfg.layers):
+            a, _ = bilinear_sample(alphas_dst[j][m], coords[sel, 0], coords[sel, 1])
+            keep = a <= _ALPHA_LO
+            idx = np.flatnonzero(sel)
+            valid[idx[~keep]] = False
+        a_self, _ = bilinear_sample(alphas_dst[j][l], coords[sel, 0], coords[sel, 1])
+        idx = np.flatnonzero(sel)
+        valid[idx[a_self < _ALPHA_HI]] = False
+    return coords.reshape(height, width, 2), valid.reshape(height, width)
 
 
 class TestGeneration:
@@ -84,6 +126,22 @@ class TestGeneration:
         err = np.linalg.norm(mapped - coords, axis=2)
         fg = small_bundle.foreground_mask(n).bits & valid
         assert np.median(err[fg]) >= 3.0
+
+    def test_fields_equal_reference_on_three_layers(self):
+        bundle = gen_sequence(SceneConfig(seed=17, size=96, frames=3, modality="thermal-like",
+                                          layers=3, layer_disparities=(0.0, 5.0, 10.0)))
+        assert all((bundle.layer_maps[n] == 2).any() for n in range(bundle.frames))
+        for i in range(bundle.frames):
+            for j in range(bundle.frames):
+                for field, maps, alphas in (
+                    (bundle.correspondence, bundle.maps_x, bundle.alphas_x),
+                    (bundle.rgb_correspondence, bundle.maps_rgb, bundle.alphas_rgb),
+                ):
+                    coords, valid = field(i, j)
+                    ref_coords, ref_valid = field_reference(bundle, i, maps, alphas, j)
+                    assert np.array_equal(coords, ref_coords)
+                    assert np.array_equal(valid, ref_valid)
+                    assert 0 < valid.sum() < valid.size
 
     def test_validation(self):
         with pytest.raises(ValueError):
