@@ -267,8 +267,8 @@ def _read_png(path: Path) -> tuple[np.ndarray, int]:
             idat += payload
         elif tag == b"IEND":
             break
-    if ihdr is None:
-        raise ImageIOError(f"{path}: missing IHDR")
+    if ihdr is None or len(ihdr) != 13:
+        raise ImageIOError(f"{path}: missing or truncated IHDR")
     width, height, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
     if comp != 0 or filt != 0:
         raise ImageIOError(f"{path}: unsupported compression/filter method")

@@ -57,7 +57,8 @@ class MatchSet:
             raise MatchingError("non-finite match coordinates")
         if len(conf) and (p_rgb.min() < 0.0 or p_x.min() < 0.0):
             raise MatchingError("negative match coordinates")
-        if len(conf) and (conf.min() < 0.0 or conf.max() > 1.0):
+        # NaN fails both comparisons, so it is rejected too
+        if len(conf) and not np.all((conf >= 0.0) & (conf <= 1.0)):
             raise MatchingError("match confidence outside [0, 1]")
         keep = _dedup_indices(p_rgb, conf)
         for name, arr in (("p_rgb", p_rgb[keep]), ("p_x", p_x[keep]), ("conf", conf[keep])):

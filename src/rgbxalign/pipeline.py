@@ -10,6 +10,7 @@ marked failed, and the run continues.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -24,7 +25,7 @@ import numpy as np
 from . import fuse_filter, metrics
 from .colmap import ColmapModel, write_colmap_model
 from .densify import DensifyConfig, compute_affinities, densify_multilevel
-from .errors import DensifyError, EstimationFailedError, PipelineError, RgbxError
+from .errors import DensifyError, EstimationFailedError, ImageIOError, PipelineError, RgbxError
 from .imgcore import Image, Mask, load_image, save_image
 from .matching import (
     Homography,
@@ -211,6 +212,29 @@ class _RunContext:
     masks: dict[str, Path]
     backend: object
     out_dir: Path
+    # frame id -> why its file could not be read; such a frame is left out
+    # of `rgb` or `x`
+    unreadable_rgb: dict[str, str] = field(default_factory=dict)
+    unreadable_x: dict[str, str] = field(default_factory=dict)
+
+    @functools.cached_property
+    def sequence(self) -> list[str]:
+        """The sorted ids of every RGB and readable X frame. Windows and
+        per-frame seeds are counted over it, so a frame missing from one
+        sensor changes no other frame's window or seeds."""
+        return sorted(set(self.frame_ids) | set(self.x))
+
+
+def _load_frames(paths: dict[str, Path]) -> tuple[dict[str, Image], dict[str, str]]:
+    """Load every frame; an unreadable file is logged and reported, not raised."""
+    images, unreadable = {}, {}
+    for fid, path in paths.items():
+        try:
+            images[fid] = load_image(path)
+        except ImageIOError as exc:
+            logger.warning("frame %s unreadable: %s", fid, exc)
+            unreadable[fid] = str(exc)
+    return images, unreadable
 
 
 def _load_context(cfg: PipelineConfig) -> _RunContext:
@@ -223,8 +247,8 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     if not rgb_paths:
         raise PipelineError(f"no RGB frames under {input_dir / 'rgb'}")
     frame_ids = sorted(rgb_paths)
-    rgb = {fid: load_image(p) for fid, p in rgb_paths.items()}
-    x = {fid: load_image(p) for fid, p in x_paths.items()}
+    rgb, unreadable_rgb = _load_frames(rgb_paths)
+    x, unreadable_x = _load_frames(x_paths)
     masks = _frame_paths(input_dir / "masks")
 
     # only the oracle reads the ground truth; other backends ignore gt/meta
@@ -243,30 +267,39 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
 
     out_dir = Path(cfg.output_dir)
     (out_dir / "x_final").mkdir(parents=True, exist_ok=True)
-    return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir)
+    return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir, unreadable_rgb, unreadable_x)
+
+
+def _window_span(ctx: _RunContext, n: int) -> list[str]:
+    """The ids of `ctx.sequence` within window // 2 of RGB frame n's id."""
+    k = ctx.sequence.index(ctx.frame_ids[n])
+    half = ctx.cfg.window // 2
+    return ctx.sequence[max(0, k - half) : k + half + 1]
 
 
 def _window_ids(ctx: _RunContext, n: int) -> list[str]:
-    """The X frames matched against RGB frame n.
-
-    The window spans window // 2 ids either side of frame n's id, counted
-    over the sorted ids of every RGB and X frame present, so a frame missing
-    from one sensor neither widens nor shifts its neighbors' windows.
-    """
-    ids = sorted(set(ctx.frame_ids) | set(ctx.x))
-    k = ids.index(ctx.frame_ids[n])
-    half = ctx.cfg.window // 2
-    return [m for m in ids[max(0, k - half) : k + half + 1] if m in ctx.x]
+    """The X frames matched against RGB frame n: those its window span holds."""
+    return [m for m in _window_span(ctx, n) if m in ctx.x]
 
 
 def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     cfg = ctx.cfg
     fid = ctx.frame_ids[n]
     rec = FrameRecord(frame=fid)
+    if fid in ctx.unreadable_rgb:
+        rec.status = "failed"
+        rec.warnings.append(f"unreadable RGB frame ({ctx.unreadable_rgb[fid]})")
+        return rec
     rgb = ctx.rgb[fid]
     shape = rgb.shape
+    # equals n when both sensors have the same frames
+    k = ctx.sequence.index(fid)
 
     window = _window_ids(ctx, n)
+    span = _window_span(ctx, n)
+    for m, why in sorted(ctx.unreadable_x.items()):
+        if span[0] <= m <= span[-1]:
+            rec.warnings.append(f"X frame {m} unreadable, treated as missing ({why})")
     if len(window) < cfg.window:
         rec.warnings.append(f"window shrunk to {len(window)} frames")
     if not window:
@@ -285,7 +318,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     center = sets[window.index(fid)] if fid in window else sets[len(sets) // 2]
     try:
         hom, _ = estimate_homography(
-            center, max_iters=cfg.ransac_iters, seed=stage_seed(cfg.seed, n, 1)
+            center, max_iters=cfg.ransac_iters, seed=stage_seed(cfg.seed, k, 1)
         )
     except EstimationFailedError as exc:
         hom = Homography.identity()
@@ -297,7 +330,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         if mask is not None:
             sparse, conf = area_sample(
                 sparse, conf, warped, validity, mask,
-                AreaSampleConfig(seed=stage_seed(cfg.seed, n, 2)),
+                AreaSampleConfig(seed=stage_seed(cfg.seed, k, 2)),
             )
         else:
             rec.warnings.append("no area mask available; area sampling skipped")

@@ -89,6 +89,12 @@ class TestMatchSet:
         with pytest.raises(MatchingError):
             MatchSet("a", "b", np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]), np.array([1.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_conf(self, bad):
+        with pytest.raises(MatchingError, match="confidence"):
+            MatchSet("a", "b", np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                     np.array([0.5, bad]))
+
     def test_round_trip_file(self, tmp_path, rng):
         ms = MatchSet(
             "0003", "0005",

@@ -9,6 +9,7 @@ from rgbxalign.colmap import parse_colmap_model
 from rgbxalign.densify import DensifyConfig
 from rgbxalign.errors import PipelineError
 from rgbxalign.imgcore import Image, load_image, save_image
+from rgbxalign.matching import MatchSet
 from rgbxalign.pipeline import (
     FrameRecord,
     PipelineConfig,
@@ -183,6 +184,88 @@ class TestRun:
             p.write_text("\n".join(lines) + "\n")
         manifest = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=3))
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
+
+    def test_nan_confidence_fails_only_its_frame(self, bench_dir, tmp_path):
+        """A match file with a NaN confidence costs its frame, not the run:
+        every other frame writes what it writes without that file."""
+        import shutil
+
+        from rgbxalign.matching import save_matchset
+        from rgbxalign.synthbench import NoiseModel, load_bundle, oracle_match
+
+        bundle = load_bundle(bench_dir)
+        runs = {}
+        for case in ("nan", "absent"):
+            inp = tmp_path / case
+            shutil.copytree(bench_dir, inp)
+            (inp / "matches").mkdir()
+            for n, fid in enumerate(bundle.frame_ids):
+                for m in range(max(0, n - 1), min(bundle.frames, n + 2)):
+                    ms = oracle_match(bundle, (n, m), NoiseModel(), 600, seed=3)
+                    ms = MatchSet(fid, f"{m:04d}", ms.p_rgb, ms.p_x, ms.conf)
+                    save_matchset(ms, inp / "matches" / f"{fid}_{m:04d}.txt")
+            bad = inp / "matches" / "0002_0003.txt"
+            if case == "nan":
+                lines = bad.read_text().splitlines()
+                lines[2] = " ".join(lines[2].split()[:4] + ["nan"])
+                bad.write_text("\n".join(lines) + "\n")
+            else:
+                bad.unlink()
+            runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}", backend="file",
+                                                  window=3))
+        nan, absent = runs["nan"].frames, runs["absent"].frames
+        assert [f.frame for f in nan] == [f.frame for f in absent]
+        assert nan[2].status == "failed" and not nan[2].outputs
+        assert any("confidence" in w for w in nan[2].warnings)
+        for a, b in zip(nan, absent):
+            if a.frame != "0002":
+                assert a.status != "failed" and a.outputs == b.outputs, a.frame
+
+    @pytest.mark.parametrize("keep", [0.5, 20], ids=["half", "header"])
+    def test_unreadable_x_frame_counts_as_missing(self, bench_dir, tmp_path, keep):
+        import shutil
+
+        runs = {}
+        for case in ("truncated", "absent"):
+            inp = tmp_path / case
+            shutil.copytree(bench_dir, inp)
+            victim = inp / "x_raw" / "0003.png"
+            if case == "truncated":
+                blob = victim.read_bytes()
+                victim.write_bytes(blob[: int(keep * len(blob)) if keep < 1 else keep])
+            else:
+                victim.unlink()
+            runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}", window=3))
+        truncated, absent = runs["truncated"].frames, runs["absent"].frames
+        assert [f.outputs for f in truncated] == [f.outputs for f in absent]
+        assert all(f.status != "failed" for f in truncated)
+        warned = [f.frame for f in truncated
+                  if any("X frame 0003 unreadable" in w for w in f.warnings)]
+        assert warned == ["0002", "0003", "0004"]
+
+    def test_unreadable_rgb_frame_fails_only_itself(self, bench_dir, tmp_path):
+        import shutil
+
+        runs = {}
+        for case in ("truncated", "absent"):
+            inp = tmp_path / case
+            shutil.copytree(bench_dir, inp)
+            victim = inp / "rgb" / "0002.png"
+            if case == "truncated":
+                blob = victim.read_bytes()
+                victim.write_bytes(blob[: len(blob) // 2])
+            else:
+                victim.unlink()
+            runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}"))
+        truncated = {f.frame: f for f in runs["truncated"].frames}
+        absent = {f.frame: f for f in runs["absent"].frames}
+        assert sorted(truncated) == [f"{n:04d}" for n in range(6)]
+        bad = truncated.pop("0002")
+        assert bad.status == "failed" and not bad.outputs
+        assert any("unreadable RGB frame" in w for w in bad.warnings)
+        assert sorted(truncated) == sorted(absent)
+        for fid, rec in truncated.items():
+            assert rec.status != "failed" and rec.outputs == absent[fid].outputs, fid
 
     def test_too_few_confident_matches_fall_back(self, tmp_path):
         """A match set with 3 non-zero confidences costs its frame the

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_erosion
 
 from rgbxalign.errors import MetricError, RgbxError
 from rgbxalign.fuse_filter import PatchGrid
-from rgbxalign.imgcore import Image, bilinear_sample
+from rgbxalign.imgcore import Image, Mask, bilinear_sample
 from rgbxalign.matching import _apply_homography
 from rgbxalign.synthbench import (
     _ALPHA_HI,
@@ -16,15 +17,49 @@ from rgbxalign.synthbench import (
     _REDRAW_TRIES,
     NoiseModel,
     SceneConfig,
+    _build_scene,
+    _layer_stacks,
+    _pixel_grid,
     _redraw_outliers,
+    _render_frame,
+    _upsample,
     consistency_metric,
     corrupt_with_mask,
     gen_sequence,
     load_bundle,
     oracle_match,
     save_bundle,
-    with_value_noise,
 )
+
+
+def with_value_noise(img, sigma, seed=0):
+    rng = np.random.default_rng(seed)
+    return Image(np.clip(img.data + rng.normal(0.0, sigma, img.data.shape), 0.0, 1.0), units=img.units)
+
+
+def render_reference(layers, maps, size, channels):
+    """One view's render as first written: a fresh pixel grid and fresh
+    texture coordinates and alphas per call, one content per call."""
+    rows, cols = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
+    out = np.zeros((size * size, channels) if channels > 1 else (size * size,))
+    alphas = np.zeros((len(layers), size, size))
+    for l, (layer, h) in enumerate(zip(layers, maps)):
+        tex_pts = _apply_homography(np.linalg.inv(h), pts)
+        content = layer.rgb if channels == 3 else layer.x
+        values, valid = bilinear_sample(content, tex_pts[:, 0], tex_pts[:, 1])
+        if l == 0:
+            if not valid.all():
+                raise RgbxError("world margin insufficient for configured motion")
+            out = values
+            alphas[0] = 1.0
+        else:
+            a, _ = bilinear_sample(layer.alpha, tex_pts[:, 0], tex_pts[:, 1])
+            alphas[l] = a.reshape(size, size)
+            blend = a[:, None] if channels == 3 else a
+            out = (1.0 - blend) * out + blend * values
+    shape = (size, size, channels) if channels == 3 else (size, size)
+    return out.reshape(shape), alphas
 
 
 def redraw_one_at_a_time(rng, truth, shape, min_dist):
@@ -142,6 +177,57 @@ class TestGeneration:
                     assert np.array_equal(coords, ref_coords)
                     assert np.array_equal(valid, ref_valid)
                     assert 0 < valid.sum() < valid.size
+
+    @pytest.mark.parametrize("cfg", [
+        SceneConfig(seed=17, size=96, frames=3, modality="thermal-like", layers=3,
+                    layer_disparities=(0.0, 5.0, 10.0)),
+        SceneConfig(seed=5, size=64, frames=2, modality="sar-like", layers=1,
+                    layer_disparities=(0.0,), homogeneous_fraction=0.4),
+    ], ids=["three-layers", "one-layer"])
+    def test_frames_render_as_the_reference(self, cfg):
+        """One sample per layer and view gives the renders, alphas and area
+        coverage of one render per image, bit for bit."""
+        layers, homog_world, maps_rgb, maps_x = _build_scene(cfg, np.random.default_rng(cfg.seed))
+        homog_world = homog_world.astype(np.float64)
+        stacks_rgb, stacks_x = _layer_stacks(layers, homog_world)
+        pts = _pixel_grid(cfg.size, cfg.size)
+        for n in range(cfg.frames):
+            got = _render_frame(stacks_rgb, stacks_x, maps_rgb[n], maps_x[n], pts, cfg.size)
+            rgb, a_rgb = render_reference(layers, list(maps_rgb[n]), cfg.size, channels=3)
+            x_gt, _ = render_reference(layers, list(maps_rgb[n]), cfg.size, channels=1)
+            x_raw, a_x = render_reference(layers, list(maps_x[n]), cfg.size, channels=1)
+            tex = _apply_homography(np.linalg.inv(maps_rgb[n][0]), pts)
+            homog, _ = bilinear_sample(homog_world, tex[:, 0], tex[:, 1])
+            want = (rgb, x_gt, x_raw, a_rgb, a_x, homog.reshape(cfg.size, cfg.size))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_gen_sequence_area_masks_follow_the_coverage(self):
+        cfg = SceneConfig(seed=13, size=128, frames=2, layers=1, layer_disparities=(0.0,),
+                          homogeneous_fraction=0.4)
+        bundle = gen_sequence(cfg)
+        layers, homog_world, maps_rgb, _ = _build_scene(
+            cfg, np.random.default_rng(np.random.SeedSequence((0x5CE11E, cfg.seed))))
+        pts = _pixel_grid(cfg.size, cfg.size)
+        for n in range(cfg.frames):
+            tex = _apply_homography(np.linalg.inv(maps_rgb[n][0]), pts)
+            homog, _ = bilinear_sample(homog_world.astype(np.float64), tex[:, 0], tex[:, 1])
+            area = binary_erosion(homog.reshape(cfg.size, cfg.size) > 0.5, iterations=2)
+            assert np.array_equal(bundle.area_masks[n].bits, area)
+            rgb, _ = render_reference(layers, list(maps_rgb[n]), cfg.size, channels=3)
+            assert np.array_equal(bundle.rgb[n].data, np.clip(rgb, 0.0, 1.0))
+
+    @pytest.mark.parametrize("shape, cell", [((64, 64), 24), ((37, 90), 7), ((5, 3), 3), ((96, 40), 96)])
+    def test_upsample_equals_bilinear_sample(self, shape, cell):
+        """The separable value-noise upsampling against bilinear_sample at
+        every pixel's (r / cell, c / cell), bit for bit."""
+        height, width = shape
+        grid = np.random.default_rng(cell).random((height // cell + 2, width // cell + 2))
+        rows = np.repeat(np.arange(height) / cell, width)
+        cols = np.tile(np.arange(width) / cell, height)
+        want, valid = bilinear_sample(grid, rows, cols)
+        assert valid.all()
+        assert np.array_equal(_upsample(grid, shape, cell), want.reshape(shape))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -268,17 +354,100 @@ class TestCorruption:
         assert np.mean(np.abs(out.data[bits] - img.data[bits])) > 0.05
 
 
+BUNDLE_FIELDS = ("rgb", "x_gt", "x_raw", "area_masks", "layer_maps", "alphas_rgb", "alphas_x",
+                 "maps_rgb", "maps_x", "corruption_masks")
+
+
+def field_arrays(bundle, name):
+    """Every array a bundle field holds, in frame (and layer) order."""
+    out = []
+    for value in getattr(bundle, name) or ():
+        if isinstance(value, tuple):
+            out.extend(value)
+        elif isinstance(value, Image):
+            out.append(value.data)
+        elif isinstance(value, Mask):
+            out.append(value.bits)
+        else:
+            out.append(value)
+    return out
+
+
 class TestPersistence:
-    def test_save_load_regenerates(self, tmp_path):
-        cfg = SceneConfig(seed=17, size=64, frames=2)
+    @pytest.mark.parametrize("cfg", [
+        SceneConfig(seed=17, size=64, frames=2),
+        SceneConfig(seed=2, size=96, frames=3, modality="sar-like", layers=3,
+                    layer_disparities=(0.0, 4.0, 9.0), corrupt_patch_fraction=0.2),
+    ], ids=["plain", "corrupted-three-layers"])
+    def test_round_trip_is_bit_identical(self, tmp_path, cfg):
         bundle = gen_sequence(cfg)
         save_bundle(bundle, tmp_path / "b")
         again = load_bundle(tmp_path / "b")
         assert again.cfg == cfg
-        for n in range(2):
-            assert np.array_equal(again.rgb[n].data, bundle.rgb[n].data)
+        assert (bundle.corruption_masks is None) == (cfg.corrupt_patch_fraction == 0.0)
+        for name in BUNDLE_FIELDS:
+            want, got = field_arrays(bundle, name), field_arrays(again, name)
+            assert len(got) == len(want), name
+            for w, g in zip(want, got):
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                assert np.array_equal(g, w), name
         assert (tmp_path / "b" / "rgb" / "0000.png").exists()
         assert (tmp_path / "b" / "gt" / "homographies.txt").exists()
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        cfg = SceneConfig(seed=3, size=64, frames=2, corrupt_patch_fraction=0.1)
+        save_bundle(gen_sequence(cfg), tmp_path / "b")
+        bundle = load_bundle(tmp_path / "b")
+        for name in BUNDLE_FIELDS:
+            arrays = field_arrays(bundle, name)
+            assert arrays, name
+            for arr in arrays:
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1
+
+    def test_frames_own_their_buffers(self, tmp_path):
+        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=3)), tmp_path / "b")
+        bundle = load_bundle(tmp_path / "b")
+        for name in ("rgb", "x_gt", "x_raw", "area_masks", "layer_maps", "alphas_rgb", "alphas_x"):
+            arrays = field_arrays(bundle, name)
+            for arr in arrays:
+                root = arr
+                while isinstance(root.base, np.ndarray):
+                    root = root.base
+                assert root.nbytes == arr.nbytes, name
+
+    def test_missing_scene_file_rejected(self, tmp_path):
+        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
+        (tmp_path / "b" / "gt" / "scene.npz").unlink()
+        with pytest.raises(RgbxError, match="rgbxalign synth"):
+            load_bundle(tmp_path / "b")
+
+    def test_config_disagreeing_with_meta_rejected(self, tmp_path):
+        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
+        meta = tmp_path / "b" / "gt" / "meta"
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), seed=18)))
+        with pytest.raises(RgbxError, match="disagrees with gt/meta"):
+            load_bundle(tmp_path / "b")
+
+    def test_scene_file_of_another_shape_rejected(self, tmp_path):
+        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
+        scene = tmp_path / "b" / "gt" / "scene.npz"
+        with np.load(scene) as npz:
+            members = {k: npz[k] for k in npz.files}
+        for change, match in (
+            (dict(x_gt=members["x_gt"][:, :32]), "x_gt array"),
+            (dict(layer_maps=members["layer_maps"].astype(np.int32)), "layer_maps array"),
+            (dict(alphas_x=members["alphas_x"][:1]), "alphas_x array"),
+            (dict(corruption_masks=members["area_masks"]), "members"),
+        ):
+            np.savez(scene, **dict(members, **change))
+            with pytest.raises(RgbxError, match=match):
+                load_bundle(tmp_path / "b")
+        del members["x_gt"]
+        np.savez(scene, **members)
+        with pytest.raises(RgbxError, match="members"):
+            load_bundle(tmp_path / "b")
 
     def test_load_shares_the_last_bundle_read_only(self, tmp_path):
         for seed in (17, 18):
