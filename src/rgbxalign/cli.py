@@ -40,18 +40,21 @@ def _add_synth(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     disparities = args.disparities
-    if disparities is None:
-        disparities = [0.0] if args.layers == 1 else list(np.linspace(0.0, 8.0, args.layers))
-    cfg = SceneConfig(
-        seed=args.seed,
-        size=args.size,
-        frames=args.frames,
-        modality=args.modality,
-        layers=args.layers,
-        layer_disparities=tuple(disparities),
-        homogeneous_fraction=args.homogeneous_fraction,
-        corrupt_patch_fraction=args.corrupt_fraction,
-    )
+    try:
+        if disparities is None:
+            disparities = [0.0] if args.layers == 1 else list(np.linspace(0.0, 8.0, args.layers))
+        cfg = SceneConfig(
+            seed=args.seed,
+            size=args.size,
+            frames=args.frames,
+            modality=args.modality,
+            layers=args.layers,
+            layer_disparities=tuple(disparities),
+            homogeneous_fraction=args.homogeneous_fraction,
+            corrupt_patch_fraction=args.corrupt_fraction,
+        )
+    except ValueError as exc:
+        raise PipelineError(f"bad scene: {exc}") from exc
     bundle = gen_sequence(cfg)
     save_bundle(bundle, args.out)
     print(f"wrote {bundle.frames}-frame {cfg.modality} bundle to {args.out}")
@@ -138,9 +141,13 @@ def _add_export(sub: argparse._SubParsersAction) -> None:
 def _cmd_export(args: argparse.Namespace) -> int:
     from .pipeline import FrameRecord, RunManifest
 
-    payload = json.loads((Path(args.run) / "manifest.json").read_text())
-    manifest = RunManifest(config=payload["config"])
-    manifest.frames = [FrameRecord(**f) for f in payload["frames"]]
+    path = Path(args.run) / "manifest.json"
+    try:
+        payload = json.loads(path.read_text())
+        manifest = RunManifest(config=payload["config"])
+        manifest.frames = [FrameRecord(**f) for f in payload["frames"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise PipelineError(f"{path}: cannot read a run manifest ({exc!r})") from exc
     model = parse_colmap_model(args.model)
     result = export_dataset(manifest, model, args.out, run_dir=args.run,
                             name_format=args.name_format)
@@ -191,14 +198,13 @@ def _add_filter(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--rgb", required=True)
     p.add_argument("--xd", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--patch", type=int, default=fuse_filter.PatchGrid.patch)
     p.set_defaults(func=_cmd_filter)
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     rgb = load_image(args.rgb)
     xd = load_image(args.xd)
-    grid = fuse_filter.PatchGrid(xd.shape[0], xd.shape[1], args.patch)
+    grid = fuse_filter.PatchGrid(xd.shape[0], xd.shape[1])
     sim = fuse_filter.similarity_matrix(
         fuse_filter.patch_descriptors(rgb, grid), fuse_filter.patch_descriptors(xd, grid)
     )

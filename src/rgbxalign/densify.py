@@ -75,8 +75,8 @@ class DensifyConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         deltas = tuple(self.thresholds)
-        if deltas and (list(deltas) != sorted(deltas) or not all(0.0 <= d < 1.0 for d in deltas)):
-            raise ValueError("thresholds must be ascending and within [0, 1)")
+        if not deltas or list(deltas) != sorted(deltas) or not all(0.0 <= d < 1.0 for d in deltas):
+            raise ValueError("thresholds must be non-empty, ascending and within [0, 1)")
 
 
 class AffinityField:
@@ -473,8 +473,6 @@ def densify_multilevel(
     lone level has nothing to be ranked against, so it gets none.
     """
     cfg = cfg or DensifyConfig()
-    if not cfg.thresholds:
-        raise DensifyError("no thresholds configured")
     out: dict[float, Image] = {}
     kept: dict[float, tuple[SparseMap, ConfidenceMap]] = {}
     for delta in cfg.thresholds:

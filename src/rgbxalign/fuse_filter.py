@@ -32,6 +32,10 @@ DESCRIPTOR_DIM = DESCRIPTOR_CELLS * DESCRIPTOR_CELLS * DESCRIPTOR_BINS
 GUIDED_RADIUS = 4
 GUIDED_EPS = 1e-3
 
+PATCH = 32  # side of a self-matching patch, px
+TAU = 0.1  # temperature of the similarity matrix A = F_rgb @ F_x.T / TAU
+LAMBDA = 0.1  # weight of the off-diagonal mass in the self-match score
+
 
 # ---------------------------------------------------------------------------
 # Deterministic enhancement + certainty-ranked fusion
@@ -225,25 +229,22 @@ def fuse_levels(enhanced: list[Image], certainty: list[float] | None = None) -> 
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Tiling of an image into patch cells; remainder pixels join the last row/col."""
+    """Tiling of an image into PATCH-sided cells; remainder pixels join the last row/col."""
 
     height: int
     width: int
-    patch: int = 32
 
     def __post_init__(self) -> None:
-        if self.height < self.patch or self.width < self.patch:
-            raise FilterError(
-                f"image {self.height}x{self.width} smaller than patch size {self.patch}"
-            )
+        if self.height < PATCH or self.width < PATCH:
+            raise FilterError(f"image {self.height}x{self.width} smaller than patch size {PATCH}")
 
     @property
     def rows(self) -> int:
-        return self.height // self.patch
+        return self.height // PATCH
 
     @property
     def cols(self) -> int:
-        return self.width // self.patch
+        return self.width // PATCH
 
     @property
     def patches(self) -> int:
@@ -252,10 +253,10 @@ class PatchGrid:
     def bounds(self, index: int) -> tuple[slice, slice]:
         """Pixel extent of patch `index` (row-major over the grid)."""
         pr, pc = divmod(index, self.cols)
-        r0 = pr * self.patch
-        c0 = pc * self.patch
-        r1 = (pr + 1) * self.patch if pr < self.rows - 1 else self.height
-        c1 = (pc + 1) * self.patch if pc < self.cols - 1 else self.width
+        r0 = pr * PATCH
+        c0 = pc * PATCH
+        r1 = (pr + 1) * PATCH if pr < self.rows - 1 else self.height
+        c1 = (pc + 1) * PATCH if pc < self.cols - 1 else self.width
         return slice(r0, r1), slice(c0, c1)
 
 
@@ -379,7 +380,7 @@ class SimilarityMatrix:
     """Scaled dot-product patch similarity: A = F_rgb @ F_x.T / tau."""
 
     a: np.ndarray
-    tau: float = 0.1
+    tau: float = TAU
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -394,14 +395,14 @@ class SimilarityMatrix:
         object.__setattr__(self, "a", a)
 
 
-def similarity_matrix(f_rgb: FeatureMatrix, f_x: FeatureMatrix, tau: float = 0.1) -> SimilarityMatrix:
+def similarity_matrix(f_rgb: FeatureMatrix, f_x: FeatureMatrix) -> SimilarityMatrix:
     if f_rgb.mat.shape != f_x.mat.shape:
         raise FilterError("feature matrices must have matching shapes")
-    return SimilarityMatrix(f_rgb.mat @ f_x.mat.T / tau, tau)
+    return SimilarityMatrix(f_rgb.mat @ f_x.mat.T / TAU, TAU)
 
 
-def self_match_score(a: SimilarityMatrix, lam: float = 0.1) -> float:
-    """Alignment score: -Tr(A)/||A||_F + lam * ||offdiag(A)||_1 / ||A||_F.
+def self_match_score(a: SimilarityMatrix) -> float:
+    """Alignment score: -Tr(A)/||A||_F + LAMBDA * ||offdiag(A)||_1 / ||A||_F.
 
     Lower is better aligned. Exposed as an evaluation metric.
     """
@@ -413,7 +414,7 @@ def self_match_score(a: SimilarityMatrix, lam: float = 0.1) -> float:
         raise FilterError("self-match score undefined for the zero matrix")
     trace = float(np.trace(mat))
     off = float(np.abs(mat).sum() - np.abs(np.diag(mat)).sum())
-    return -trace / fro + lam * off / fro
+    return -trace / fro + LAMBDA * off / fro
 
 
 # ---------------------------------------------------------------------------

@@ -410,7 +410,8 @@ def load_image(path: str | Path) -> Image:
     path = Path(path)
     if not path.exists():
         raise ImageIOError(f"no such file: {path}")
-    head = path.open("rb").read(2)
+    with path.open("rb") as fh:
+        head = fh.read(2)
     if head == _PNG_SIG[:2]:
         raw, depth = _read_png(path)
     elif head in (b"P2", b"P5"):

@@ -136,16 +136,6 @@ def _orientation_channels(gray: np.ndarray) -> np.ndarray:
     return np.stack([mag * np.cos(2.0 * theta), mag * np.sin(2.0 * theta)], axis=-1)
 
 
-def zncc(a: np.ndarray, b: np.ndarray) -> float:
-    """Zero-normalized cross-correlation of two equal-size patches."""
-    a = a.ravel() - a.mean()
-    b = b.ravel() - b.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom <= 1e-12:
-        return 0.0
-    return float(a @ b / denom)
-
-
 def _box_sums(arr: np.ndarray, win: int) -> np.ndarray:
     """Sum over every win x win window (valid positions) of a 2-D array.
 

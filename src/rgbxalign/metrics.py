@@ -16,6 +16,7 @@ from .imgcore import Image
 from .quantiles import quantile
 
 PSNR_INF = float("inf")
+PEAK = 1.0  # full scale of normalized images, which span [0, 1]
 DIAG_PERCENTILES = (30, 50, 70, 90)
 
 REPORT_COLUMNS = (
@@ -46,16 +47,16 @@ def _window_sums(arr: np.ndarray, win: int) -> np.ndarray:
     return cum[win:, win:] - cum[:-win, win:] - cum[win:, :-win] + cum[:-win, :-win]
 
 
-def psnr(a: Image, b: Image, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); +inf sentinel for identical images."""
+def psnr(a: Image, b: Image) -> float:
+    """10*log10(PEAK^2 / MSE); +inf sentinel for identical images."""
     _check_dims(a, b)
     mse = float(np.mean((a.data - b.data) ** 2))
     if mse == 0.0:
         return PSNR_INF
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
-def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
+def ssim(a: Image, b: Image) -> float:
     """Mean local SSIM over 8x8 windows, stride 1, K1=0.01 / K2=0.03."""
     _check_dims(a, b)
     if a.channels != 1:
@@ -64,8 +65,8 @@ def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
     height, width = a.shape
     if height < win or width < win:
         raise MetricError(f"image smaller than the {win}x{win} SSIM window")
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    c1 = (0.01 * PEAK) ** 2
+    c2 = (0.03 * PEAK) ** 2
 
     def means(arr: np.ndarray) -> np.ndarray:
         return _window_sums(arr, win) / (win * win)
@@ -82,26 +83,24 @@ def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
     return float(np.mean(num / den))
 
 
-def mae_rmse(a: Image, b: Image, units: str | None = None) -> tuple[float, float]:
+def mae_rmse(a: Image, b: Image) -> tuple[float, float]:
     """Mean absolute and root-mean-square error in the images' physical units."""
     _check_dims(a, b)
     if a.units != b.units:
         raise MetricError(f"unit mismatch: {a.units} vs {b.units}")
-    if units is not None and a.units != units:
-        raise MetricError(f"expected units {units!r}, images carry {a.units!r}")
     diff = a.data - b.data
     return float(np.mean(np.abs(diff))), float(np.sqrt(np.mean(diff * diff)))
 
 
-def diag_percentiles(a: SimilarityMatrix, ps: tuple[int, ...] = DIAG_PERCENTILES) -> list[float]:
-    """Linear-interpolation percentiles of the similarity diagonal."""
+def diag_percentiles(a: SimilarityMatrix) -> list[float]:
+    """Linear-interpolation DIAG_PERCENTILES of the similarity diagonal."""
     mat = a.a
     if mat.shape[0] != mat.shape[1]:
         raise MetricError("diagonal percentiles require a square matrix")
     d = np.diag(mat)
     if d.size == 0:
         raise MetricError("empty diagonal")
-    return [quantile(d, p / 100.0) for p in ps]
+    return [quantile(d, p / 100.0) for p in DIAG_PERCENTILES]
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .matching import (
     load_matchset,
     warp_image,
 )
-from .sampling import AreaSampleConfig, area_sample
+from .sampling import area_sample
 from .synthbench import GroundTruthBundle, NoiseModel, load_bundle, oracle_match
 
 logger = logging.getLogger(__name__)
@@ -74,6 +74,8 @@ class PipelineConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         # a bad value would otherwise raise inside every frame and abort the run
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.ransac_iters < 1:
             raise ValueError("ransac_iters must be >= 1")
         if self.oracle_count < 1:
@@ -329,8 +331,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         mask = _area_mask_for(ctx, fid, shape)
         if mask is not None:
             sparse, conf = area_sample(
-                sparse, conf, warped, validity, mask,
-                AreaSampleConfig(seed=stage_seed(cfg.seed, k, 2)),
+                sparse, conf, warped, validity, mask, stage_seed(cfg.seed, k, 2)
             )
         else:
             rec.warnings.append("no area mask available; area sampling skipped")

@@ -10,24 +10,13 @@ anchors that the later filtering stage can still reject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .imgcore import ConfidenceMap, Image, Mask, SparseMap
 
-
-@dataclass(frozen=True)
-class AreaSampleConfig:
-    rate: float = 0.05
-    fixed_conf: float = 0.3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("sampling rate must be in (0, 1]")
-        if not 0.0 <= self.fixed_conf <= 1.0:
-            raise ValueError("fixed confidence must be in [0, 1]")
+RATE = 0.05  # share of the eligible pixels seeded
+FIXED_CONF = 0.3  # confidence of a seeded pixel
 
 
 def area_sample(
@@ -36,12 +25,12 @@ def area_sample(
     warped_x: Image,
     validity: Mask,
     area_mask: Mask,
-    cfg: AreaSampleConfig,
+    seed: int,
 ) -> tuple[SparseMap, ConfidenceMap]:
-    """Seed ceil(rate * |E|) pixels of E = mask & void & warp-valid.
+    """Seed ceil(RATE * |E|) pixels of E = mask & void & warp-valid.
 
-    Drawn uniformly without replacement (seeded); each drawn pixel takes the
-    warped X value with count 1 and the configured fixed confidence. Existing
+    Drawn uniformly without replacement from `seed`; each drawn pixel takes
+    the warped X value with count 1 and confidence FIXED_CONF. Existing
     non-void pixels are never touched. An empty eligible set returns the
     inputs unchanged.
     """
@@ -56,8 +45,8 @@ def area_sample(
     flat = np.flatnonzero(eligible)
     if flat.size == 0:
         return sparse, conf
-    n_draw = math.ceil(cfg.rate * flat.size)
-    rng = np.random.default_rng(np.random.SeedSequence((0xA3EA, cfg.seed)))
+    n_draw = math.ceil(RATE * flat.size)
+    rng = np.random.default_rng(np.random.SeedSequence((0xA3EA, seed)))
     chosen = flat[rng.choice(flat.size, size=n_draw, replace=False)]
     rows, cols = np.unravel_index(chosen, shape)
 
@@ -66,5 +55,5 @@ def area_sample(
     confidence = np.array(conf.conf)
     values[rows, cols] = warped_x.data[rows, cols]
     counts[rows, cols] = 1
-    confidence[rows, cols] = cfg.fixed_conf
+    confidence[rows, cols] = FIXED_CONF
     return SparseMap(values, counts), ConfidenceMap(confidence)

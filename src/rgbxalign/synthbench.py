@@ -72,6 +72,8 @@ class SceneConfig:
     corrupt_patch_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.size < 64:
             raise ValueError("scene size must be >= 64")
         if self.frames < 1:
@@ -84,6 +86,8 @@ class SceneConfig:
             raise ValueError("layer disparities must be distinct")
         if not 0.0 <= self.homogeneous_fraction < 0.9:
             raise ValueError("homogeneous_fraction out of range")
+        if not 0.0 <= self.corrupt_patch_fraction <= 1.0:
+            raise ValueError("corrupt_patch_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def test_criterion_05_self_matching_filter(workdir):
         for n in (1, 2):
             fused = load_image(out / "x_final" / f"{n:04d}.png")
             corrupted = corrupt_with_mask(fused, bundle.corruption_masks[n], seed=seed * 10 + n)
-            grid = fuse_filter.PatchGrid(*bundle.shape, 32)
+            grid = fuse_filter.PatchGrid(*bundle.shape)
             sim = fuse_filter.similarity_matrix(
                 fuse_filter.patch_descriptors(bundle.rgb[n], grid),
                 fuse_filter.patch_descriptors(corrupted, grid),
@@ -268,7 +268,7 @@ def test_criterion_09_similarity_exactness(rng):
         m2 = rng.normal(size=(6, 12))
         m2 /= np.linalg.norm(m2, axis=1, keepdims=True)
         sim = fuse_filter.similarity_matrix(
-            fuse_filter.FeatureMatrix(m), fuse_filter.FeatureMatrix(m2), tau=0.1
+            fuse_filter.FeatureMatrix(m), fuse_filter.FeatureMatrix(m2)
         )
         brute = np.zeros((6, 6))
         for i in range(6):
@@ -280,16 +280,16 @@ def test_criterion_09_similarity_exactness(rng):
         assert np.abs(sim.a - brute).max() < 1e-9
 
     ident = fuse_filter.SimilarityMatrix(np.eye(4), tau=1.0)
-    assert fuse_filter.self_match_score(ident, lam=0.1) == -2.0
+    assert fuse_filter.self_match_score(ident) == -2.0
     ones = fuse_filter.SimilarityMatrix(np.ones((2, 2)), tau=1.0)
-    assert fuse_filter.self_match_score(ones, lam=0.1) == pytest.approx(-0.9, abs=1e-15)
+    assert fuse_filter.self_match_score(ones) == pytest.approx(-0.9, abs=1e-15)
     _report(9, "similarity exactness", "triple-loop within 1e-9; hand cases exact")
 
 
 def test_criterion_10_quantile_filter_oracle(rng):
     """q, threshold, and rejection set match a sort-based brute force."""
     img = Image(np.zeros((64, 64)))
-    grid = fuse_filter.PatchGrid(64, 64, 32)
+    grid = fuse_filter.PatchGrid(64, 64)
     checked = 0
     for trial in range(100):
         p = grid.patches

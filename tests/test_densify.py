@@ -402,6 +402,8 @@ def test_config_validation():
         DensifyConfig(thresholds=(0.5, 0.3))
     with pytest.raises(ValueError):
         DensifyConfig(iterations=0)
+    with pytest.raises(ValueError):
+        DensifyConfig(thresholds=())
 
 
 class TestReach:

@@ -178,14 +178,14 @@ class TestFuseLevels:
 
 class TestPatchGrid:
     def test_dims_and_remainder(self):
-        grid = PatchGrid(70, 100, 32)
+        grid = PatchGrid(70, 100)
         assert (grid.rows, grid.cols, grid.patches) == (2, 3, 6)
         rs, cs = grid.bounds(grid.patches - 1)
         assert rs.stop == 70 and cs.stop == 100  # remainder joins the last patch
 
     def test_too_small(self):
         with pytest.raises(FilterError):
-            PatchGrid(20, 64, 32)
+            PatchGrid(20, 64)
 
 
 def normalize_cells_reference(hist, gates, patches):
@@ -224,31 +224,31 @@ class TestDescriptors:
 
     def test_identical_bitwise(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         assert np.array_equal(patch_descriptors(img, grid).mat, patch_descriptors(img, grid).mat)
 
     def test_contrast_inversion_invariant(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         a = patch_descriptors(img, grid).mat
         b = patch_descriptors(Image(1.0 - img.data), grid).mat
         assert np.abs(a - b).max() < 1e-6
 
     def test_constant_patch_uniform(self):
         img = Image(np.full((64, 64), 0.3))
-        mat = patch_descriptors(img, PatchGrid(64, 64, 32)).mat
+        mat = patch_descriptors(img, PatchGrid(64, 64)).mat
         assert np.allclose(mat, 1.0 / np.sqrt(mat.shape[1]))
 
     def test_rows_unit_norm(self, rng):
         img = Image(rng.random((96, 96, 3)))
-        mat = patch_descriptors(img, PatchGrid(96, 96, 32)).mat
+        mat = patch_descriptors(img, PatchGrid(96, 96)).mat
         assert np.abs(np.linalg.norm(mat, axis=1) - 1.0).max() < 1e-9
 
 
 class TestSimilarity:
     def test_orthonormal_identity(self):
         f = FeatureMatrix(np.eye(4))
-        sim = similarity_matrix(f, f, tau=0.1)
+        sim = similarity_matrix(f, f)
         assert np.array_equal(sim.a, 10.0 * np.eye(4))
 
     def test_triple_loop_oracle(self, rng):
@@ -258,7 +258,7 @@ class TestSimilarity:
 
         fa = FeatureMatrix(unit_rows(7, 16))
         fb = FeatureMatrix(unit_rows(7, 16))
-        sim = similarity_matrix(fa, fb, tau=0.1)
+        sim = similarity_matrix(fa, fb)
         brute = np.zeros((7, 7))
         for i in range(7):
             for j in range(7):
@@ -285,10 +285,10 @@ class TestSimilarity:
 
 class TestSelfMatchScore:
     def test_identity_hand_case(self):
-        assert self_match_score(SimilarityMatrix(np.eye(4), tau=1.0), lam=0.1) == -2.0
+        assert self_match_score(SimilarityMatrix(np.eye(4), tau=1.0)) == -2.0
 
     def test_all_ones_hand_case(self):
-        score = self_match_score(SimilarityMatrix(np.ones((2, 2)), tau=1.0), lam=0.1)
+        score = self_match_score(SimilarityMatrix(np.ones((2, 2)), tau=1.0))
         assert score == pytest.approx(-0.9)
 
     def test_zero_matrix_fails(self):
@@ -341,7 +341,7 @@ class TestConcentrationFilter:
 
     def test_constant_diagonal_rejects_nothing(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         res = concentration_and_filter(img, self.make_sim(np.full(9, 5.0)), grid)
         assert res.q == 1.0
         assert not res.rejected_patches.any()
@@ -349,7 +349,7 @@ class TestConcentrationFilter:
 
     def test_single_low_patch_rejected(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         diag = np.array([8.0, 8.5, 9.0, 8.7, 8.9, 9.2, 8.6, 8.8, 1.0])
         res = concentration_and_filter(img, self.make_sim(diag), grid)
         assert list(np.flatnonzero(res.rejected_patches)) == [8]
@@ -360,7 +360,7 @@ class TestConcentrationFilter:
 
     def test_matches_brute_force(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         for _ in range(100):
             diag = rng.uniform(-1, 9.9, grid.patches)
             res = concentration_and_filter(img, self.make_sim(diag), grid)
@@ -372,7 +372,7 @@ class TestConcentrationFilter:
 
     def test_rejection_monotone_in_diag(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         diag = rng.uniform(0.5, 9.5, grid.patches)
         res = concentration_and_filter(img, self.make_sim(diag), grid)
         if res.rejected_patches.any():
@@ -381,14 +381,14 @@ class TestConcentrationFilter:
 
     def test_degenerate_nonpositive(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         res = concentration_and_filter(img, self.make_sim(-np.abs(rng.random(9))), grid)
         assert res.degenerate
         assert not res.rejected_patches.any()
 
     def test_survivor_confidence_normalized(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96, 32)
+        grid = PatchGrid(96, 96)
         diag = rng.uniform(2.0, 9.0, grid.patches)
         res = concentration_and_filter(img, self.make_sim(diag), grid)
         best = int(np.argmax(diag))
@@ -405,7 +405,7 @@ class TestFineDensify:
         n = 1
         rgb = small_bundle.rgb[n]
         xd = small_bundle.x_gt[n]
-        grid = PatchGrid(*xd.shape, 32)
+        grid = PatchGrid(*xd.shape)
         sim = SimilarityMatrix(np.diag(np.full(grid.patches, 8.0)), tau=0.1)
         res = concentration_and_filter(xd, sim, grid)
         assert not res.rejected_patches.any()

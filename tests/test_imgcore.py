@@ -1,5 +1,8 @@
 """Raster types, codec round trips, and bilinear sampling."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +149,22 @@ class TestLoadSave:
         (tmp_path / "g.png").write_bytes(b"not an image at all")
         with pytest.raises(ImageIOError):
             load_image(tmp_path / "g.png")
+
+    @pytest.mark.parametrize("name", ["p.png", "p.pgm", "garbage.png"])
+    def test_load_leaves_no_file_open(self, tmp_path, rng, name):
+        path = tmp_path / name
+        if name.startswith("garbage"):
+            path.write_bytes(b"not an image at all")
+        else:
+            save_image(Image(rng.random((8, 8))), path, bit_depth=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                load_image(path)
+            except ImageIOError:
+                pass
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_truncated_png(self, tmp_path, rng):
         save_image(Image(rng.random((8, 8))), tmp_path / "t.png")

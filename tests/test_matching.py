@@ -17,7 +17,6 @@ from rgbxalign.matching import (
     round_to_pixel,
     save_matchset,
     warp_image,
-    zncc,
 )
 
 
@@ -416,6 +415,16 @@ class TestWarp:
         bg = ~small_bundle.foreground_mask(n).bits & valid
         assert np.median(err[fg]) >= 3.0
         assert np.median(err[bg]) <= 0.5
+
+
+def zncc(a, b):
+    """Zero-normalized cross-correlation of two equal-size patches."""
+    a = a.ravel() - a.mean()
+    b = b.ravel() - b.mean()
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if denom <= 1e-12:
+        return 0.0
+    return float(a @ b / denom)
 
 
 def assert_brute_force_confidences(rgb, x):

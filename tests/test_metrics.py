@@ -83,7 +83,7 @@ class TestMaeRmse:
     def test_constant_offset_celsius(self):
         a = Image(np.full((8, 8), 20.0), units="celsius")
         b = Image(np.full((8, 8), 20.5), units="celsius")
-        mae, rmse = mae_rmse(a, b, units="celsius")
+        mae, rmse = mae_rmse(a, b)
         assert mae == pytest.approx(0.5) and rmse == pytest.approx(0.5)
 
     def test_alternating_error(self):

@@ -415,6 +415,7 @@ class TestCli:
             PipelineConfig(window=4)
 
     @pytest.mark.parametrize("cls, kwargs", [
+        pytest.param(PipelineConfig, dict(seed=-1), id="seed"),
         pytest.param(PipelineConfig, dict(ransac_iters=0), id="ransac_iters"),
         pytest.param(PipelineConfig, dict(oracle_count=0), id="oracle_count"),
         pytest.param(PipelineConfig, dict(oracle_sigma=-1.0), id="oracle_sigma"),
@@ -435,6 +436,8 @@ class TestCli:
         ({"oracle_sigma": -1}, "sigma"),
         ({"backend": "classical", "oracle_rho": 1.5}, "fractions"),
         ({"workers": 0}, "workers"),
+        ({"densify": {"thresholds": []}}, "thresholds"),
+        ({"seed": -1}, "seed"),
     ])
     def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
@@ -466,6 +469,37 @@ class TestCli:
         code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
                          "--config", str(tmp_path / "missing.json")])
         assert code == 2 and "missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["--size", "32"], "size"),
+        (["--size", "64", "--frames", "1", "--corrupt-fraction", "1.5"], "corrupt_patch_fraction"),
+        (["--layers", "3", "--disparities", "1", "2"], "layer_disparities"),
+        (["--size", "64", "--frames", "1", "--seed", "-1"], "seed"),
+    ], ids=["size", "corrupt-fraction", "disparities", "seed"])
+    def test_synth_rejects_bad_scene(self, tmp_path, capsys, args, named):
+        code = cli_main(["synth", "--out", str(tmp_path / "b"), *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("manifest", [
+        None,
+        "not json",
+        '{"config": {}, "frames": [{"frame": "0000", "colour": "red"}]}',
+        '["config", "frames"]',
+    ], ids=["missing", "not-json", "unknown-key", "not-an-object"])
+    def test_export_rejects_bad_manifest(self, tmp_path, capsys, manifest):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        if manifest is not None:
+            (run_dir / "manifest.json").write_text(manifest)
+        model_dir = minimal_colmap(tmp_path, ["0000.png"])
+        code = cli_main(["export", "--run", str(run_dir), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
 
 
 def test_manifest_failed_count():

@@ -335,7 +335,7 @@ class TestCorruption:
 
     def test_masks_are_whole_cells_on_a_remainder_grid(self):
         bundle = gen_sequence(SceneConfig(seed=4, size=100, frames=4, corrupt_patch_fraction=0.2))
-        grid = PatchGrid(100, 100, 32)
+        grid = PatchGrid(100, 100)
         touches_edge = False
         for mask in bundle.corruption_masks:
             cells = [mask.bits[grid.bounds(i)] for i in range(grid.patches)]
