@@ -8,7 +8,7 @@ parsed COLMAP poses. A seeded synthetic benchmark makes every stage
 quantitatively verifiable without real sensors.
 """
 
-from .imgcore import ConfidenceMap, Image, Mask, SparseMap, load_image, save_image, to_grayscale
+from .imgcore import ConfidenceMap, Image, Mask, SparseMap, load_image, save_image
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,5 @@ __all__ = [
     "SparseMap",
     "load_image",
     "save_image",
-    "to_grayscale",
     "__version__",
 ]

@@ -16,7 +16,7 @@ from .densify import DensifyConfig, compute_affinities, densify_multilevel
 from .errors import PipelineError, RgbxError
 from .imgcore import Image, load_image, save_image
 from .matching import ClassicalBackend, accumulate_matches, load_matchset, save_matchset
-from .pipeline import PipelineConfig, evaluate_run, export_dataset, run_pipeline
+from .pipeline import PipelineConfig, RunManifest, evaluate_run, export_dataset, run_pipeline
 from .synthbench import SceneConfig, gen_sequence, save_bundle
 
 logger = logging.getLogger(__name__)
@@ -139,15 +139,7 @@ def _add_export(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .pipeline import FrameRecord, RunManifest
-
-    path = Path(args.run) / "manifest.json"
-    try:
-        payload = json.loads(path.read_text())
-        manifest = RunManifest(config=payload["config"])
-        manifest.frames = [FrameRecord(**f) for f in payload["frames"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise PipelineError(f"{path}: cannot read a run manifest ({exc!r})") from exc
+    manifest = RunManifest.read(Path(args.run) / "manifest.json")
     model = parse_colmap_model(args.model)
     result = export_dataset(manifest, model, args.out, run_dir=args.run,
                             name_format=args.name_format)
@@ -210,7 +202,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     )
     score = fuse_filter.self_match_score(sim)
     result = fuse_filter.concentration_and_filter(xd, sim, grid)
-    save_image(Image(result.rejected.bits.astype(np.float64)),
+    save_image(Image((~result.sparse.known).astype(np.float64)),
                Path(args.out_prefix + "_rejected.png"), bit_depth=8)
     save_image(Image(result.sparse.to_float_raster(void_value=0.0)),
                Path(args.out_prefix + "_filtered.png"), bit_depth=16)

@@ -435,13 +435,6 @@ def threshold_sparse(
     return SparseMap(values, counts), ConfidenceMap(np.where(keep, conf.conf, 0.0))
 
 
-def densify_level(
-    aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig
-) -> Image:
-    """Initialize and propagate a single sparse level."""
-    return propagate(init_dense(sparse), aff, sparse, conf, cfg)
-
-
 def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig) -> Image:
     """How strongly confident anchors reach each pixel, in [0, 1].
 
@@ -481,7 +474,7 @@ def densify_multilevel(
             logger.warning("threshold %.3f keeps no pixels; level omitted", delta)
             continue
         kept[delta] = level_sparse, level_conf
-        out[delta] = densify_level(aff, level_sparse, level_conf, cfg)
+        out[delta] = propagate(init_dense(level_sparse), aff, level_sparse, level_conf, cfg)
     if not out:
         raise DensifyError("all confidence levels are empty")
     if certainty is not None and len(out) > 1:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .densify import AffinityField, DensifyConfig, densify_level
+from .densify import AffinityField, DensifyConfig, init_dense, propagate
 from .errors import DensifyError, FilterError
-from .imgcore import ConfidenceMap, Image, Mask, SparseMap, gray_array
+from .imgcore import ConfidenceMap, Image, SparseMap, _freeze, gray_array
 from .quantiles import quantile
 
 logger = logging.getLogger(__name__)
@@ -273,9 +273,7 @@ class FeatureMatrix:
         norms = np.linalg.norm(mat, axis=1)
         if np.abs(norms - 1.0).max() > 1e-6:
             raise FilterError("feature rows must be L2-normalized")
-        mat = np.ascontiguousarray(mat)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _freeze(mat))
 
 
 VOTE_FLOOR_FRAC = 0.2  # gradients below this fraction of the mean don't vote
@@ -390,9 +388,7 @@ class SimilarityMatrix:
             raise FilterError("tau must be positive")
         if np.abs(a).max() > 1.0 / self.tau + 1e-6:
             raise FilterError("similarity entries exceed the 1/tau bound")
-        a = np.ascontiguousarray(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _freeze(a))
 
 
 def similarity_matrix(f_rgb: FeatureMatrix, f_x: FeatureMatrix) -> SimilarityMatrix:
@@ -426,7 +422,6 @@ def self_match_score(a: SimilarityMatrix) -> float:
 class FilterResult:
     sparse: SparseMap
     conf: ConfidenceMap
-    rejected: Mask
     q: float
     threshold: float
     degenerate: bool
@@ -466,19 +461,15 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix, grid: PatchGrid) ->
     values = np.zeros((grid.height, grid.width))
     counts = np.zeros((grid.height, grid.width), dtype=np.int64)
     conf = np.zeros((grid.height, grid.width))
-    rejected_px = np.zeros((grid.height, grid.width), dtype=bool)
     for index in range(grid.patches):
-        rs, cs = grid.bounds(index)
-        if rejected_patches[index]:
-            rejected_px[rs, cs] = True
-        else:
+        if not rejected_patches[index]:
+            rs, cs = grid.bounds(index)
             values[rs, cs] = xd.data[rs, cs]
             counts[rs, cs] = 1
             conf[rs, cs] = patch_conf[index]
     return FilterResult(
         sparse=SparseMap(values, counts),
         conf=ConfidenceMap(np.clip(conf, 0.0, 1.0)),
-        rejected=Mask(rejected_px),
         q=q,
         threshold=float(theta),
         degenerate=degenerate,
@@ -499,4 +490,4 @@ def fine_densify(
     cfg = cfg or DensifyConfig()
     if filtered.num_known == 0:
         raise DensifyError("filtered map has no known pixels")
-    return densify_level(aff, filtered, cm, cfg)
+    return propagate(init_dense(filtered), aff, filtered, cm, cfg)

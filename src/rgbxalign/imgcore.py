@@ -324,14 +324,22 @@ def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
             tokens.append(blob[start:pos])
     if len(tokens) < 3:
         raise ImageIOError(f"{path}: truncated PGM header")
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise ImageIOError(f"{path}: non-numeric PGM header") from exc
+    if width < 1 or height < 1:
+        raise ImageIOError(f"{path}: invalid PGM size {width}x{height}")
     if not 0 < maxval < 65536:
         raise ImageIOError(f"{path}: invalid PGM maxval {maxval}")
     if magic == b"P2":
         values = blob[pos:].split()
         if len(values) < width * height:
             raise ImageIOError(f"{path}: truncated PGM data")
-        arr = np.array([int(v) for v in values[: width * height]], dtype=np.int64)
+        try:
+            arr = np.array([int(v) for v in values[: width * height]], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ImageIOError(f"{path}: bad PGM sample: {exc}") from exc
     else:
         pos += 1  # single whitespace after maxval
         nbytes = width * height * (2 if maxval > 255 else 1)
@@ -369,8 +377,12 @@ def read_units_sidecar(path: Path) -> UnitsDescriptor | None:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return None
+    try:
+        text = sidecar.read_text()
+    except UnicodeDecodeError as exc:
+        raise ImageIOError(f"{sidecar}: not a text file ({exc})") from exc
     fields = {}
-    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -419,11 +431,15 @@ def load_image(path: str | Path) -> Image:
     else:
         raise ImageIOError(f"{path}: unrecognized image format")
     sidecar = read_units_sidecar(path)
-    if sidecar is not None:
-        data = raw.astype(np.float64) * sidecar.scale + sidecar.offset
-        return Image(data, units=sidecar.units)
-    full_scale = float(2**depth - 1)
-    return Image(raw.astype(np.float64) / full_scale, units=UNITS_NORMALIZED)
+    # an empty raster, or non-finite values from a sidecar, is not an image
+    try:
+        if sidecar is not None:
+            data = raw.astype(np.float64) * sidecar.scale + sidecar.offset
+            return Image(data, units=sidecar.units)
+        full_scale = float(2**depth - 1)
+        return Image(raw.astype(np.float64) / full_scale, units=UNITS_NORMALIZED)
+    except ValueError as exc:
+        raise ImageIOError(f"{path}: {exc}") from exc
 
 
 def save_image(img: Image, path: str | Path, bit_depth: int = 16) -> None:
@@ -468,16 +484,15 @@ def _luma(rgb: np.ndarray) -> np.ndarray:
     return r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]
 
 
-def to_grayscale(img: Image) -> Image:
-    """Collapse to one channel with BT.601 weights; identity for 1 channel."""
-    if img.channels == 1:
-        return img
-    return Image(_luma(img.data), units=img.units)
-
-
 def gray_array(img: Image) -> np.ndarray:
-    """Grayscale pixel array of an Image (convenience for guidance math)."""
-    return to_grayscale(img).data
+    """BT.601 grayscale pixel array of an Image; its own data for one channel."""
+    return img.data if img.channels == 1 else _luma(img.data)
+
+
+def _pixel_grid(height: int, width: int) -> np.ndarray:
+    """(row, col) of every pixel in row-major order, as (H*W, 2) floats."""
+    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    return np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
 
 
 def bilinear_sample(

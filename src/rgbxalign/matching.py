@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationFailedError, MatchingError
-from .imgcore import ConfidenceMap, Image, Mask, SparseMap, bilinear_sample, gray_array
+from .imgcore import (
+    ConfidenceMap, Image, Mask, SparseMap, _freeze, _pixel_grid, bilinear_sample, gray_array,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -62,9 +64,7 @@ class MatchSet:
             raise MatchingError("match confidence outside [0, 1]")
         keep = _dedup_indices(p_rgb, conf)
         for name, arr in (("p_rgb", p_rgb[keep]), ("p_x", p_x[keep]), ("conf", conf[keep])):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     def __len__(self) -> int:
         return len(self.conf)
@@ -98,9 +98,7 @@ class Homography:
         h = h / h[2, 2]
         if abs(np.linalg.det(h)) <= 1e-12:
             raise ValueError("homography is singular")
-        h = np.ascontiguousarray(h)
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _freeze(h))
 
     @staticmethod
     def identity() -> "Homography":
@@ -361,31 +359,21 @@ def _design_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.stack([rows_x, rows_y], axis=-2).reshape(*u.shape[:-1], 2 * u.shape[-1], 9)
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    n = len(src)
+def _dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DLT of B systems of n matches each, given as (B, n, 2) arrays.
+
+    Returns the (B, 3, 3) models scaled to h[2,2] = 1 and the mask of the
+    usable ones: h[2,2] allows that scaling and, above the minimal n = 4, the
+    system is not rank-deficient. The other models are left unscaled.
+    """
+    n = src.shape[1]
     # a minimal 4-point system is 8x9 and needs the full V; a refit over many
     # matches needs only V, never the 2n x 2n U
     _, s, vt = np.linalg.svd(_design_matrix(src, dst), full_matrices=2 * n < 9)
-    if n > 4 and s[-2] < 1e-12:
-        return None
-    h = vt[-1].reshape(3, 3)
-    if abs(h[2, 2]) < 1e-12:
-        return None
-    return h / h[2, 2]
-
-
-def _dlt_minimal(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DLT of B minimal samples given as (B, 4, 2) arrays.
-
-    Returns the (B, 3, 3) models scaled to h[2,2] = 1 and the mask of the
-    samples whose h[2,2] allows that scaling; the other models are left
-    unscaled.
-    """
-    # each 8x9 system's solution is the 9th right singular vector, which
-    # only the full V holds
-    _, _, vt = np.linalg.svd(_design_matrix(src, dst))
     h = vt[:, -1].reshape(-1, 3, 3)
     ok = np.abs(h[:, 2, 2]) >= 1e-12
+    if n > 4:
+        ok &= s[:, -2] >= 1e-12
     h[ok] /= h[ok, 2:3, 2:3]
     return h, ok
 
@@ -523,7 +511,7 @@ def estimate_homography(
     while drawn < limit:
         idx = _draw_samples(weights, rng, min(_SAMPLE_CHUNK, limit - drawn))
         src_s, dst_s = src_n[idx], dst_n[idx]
-        h_n, usable = _dlt_minimal(src_s, dst_s)
+        h_n, usable = _dlt(src_s, dst_s)
         h = t_dst_inv @ h_n @ t_src
         usable &= ~(_collinear_samples(src_s) | _collinear_samples(dst_s))
         usable &= (np.abs(h[:, 2, 2]) >= 1e-12) & (np.abs(np.linalg.det(h)) >= 1e-12)
@@ -546,9 +534,9 @@ def estimate_homography(
     if best_h is None:
         raise EstimationFailedError("no non-degenerate RANSAC sample produced a model")
 
-    h_refit = _dlt(src_n[best_mask], dst_n[best_mask])
-    if h_refit is not None:
-        candidate = t_dst_inv @ h_refit @ t_src
+    h_refit, refit_ok = _dlt(src_n[best_mask][None], dst_n[best_mask][None])
+    if refit_ok[0]:
+        candidate = t_dst_inv @ h_refit[0] @ t_src
         if abs(candidate[2, 2]) > 1e-12 and abs(np.linalg.det(candidate)) > 1e-12:
             err = _symmetric_transfer_error(candidate, src_cols, dst_cols)
             mask = err < reproj_thresh
@@ -566,9 +554,7 @@ def warp_image(
     are zeroed and reported through the returned validity mask.
     """
     height, width = out_shape
-    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    pts = np.column_stack([rows.ravel().astype(np.float64), cols.ravel().astype(np.float64)])
-    src = h.apply(pts)
+    src = h.apply(_pixel_grid(height, width))
     values, valid = bilinear_sample(x.data, src[:, 0], src[:, 1])
     shape = (height, width) if x.channels == 1 else (height, width, x.channels)
     return Image(values.reshape(shape), units=x.units), Mask(valid.reshape(height, width))
@@ -589,7 +575,10 @@ def save_matchset(ms: MatchSet, path: str | Path) -> None:
 
 
 def load_matchset(path: str | Path) -> MatchSet:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MatchingError(f"{path}: not a text file ({exc})") from exc
     if len(lines) < 2:
         raise MatchingError(f"{path}: truncated match file")
     ids = lines[0].split()
@@ -606,6 +595,9 @@ def load_matchset(path: str | Path) -> MatchSet:
         parts = lines[lineno].split()
         if len(parts) != 5:
             raise MatchingError(f"{path}:{lineno + 1}: expected 5 fields")
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise MatchingError(f"{path}:{lineno + 1}: non-numeric field ({exc})") from exc
     arr = np.array(rows).reshape(-1, 5)
     return MatchSet(ids[0], ids[1], arr[:, 0:2], arr[:, 2:4], arr[:, 4])

@@ -156,6 +156,15 @@ class RunManifest:
     def write(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
+    @staticmethod
+    def read(path: str | Path) -> "RunManifest":
+        """Read a manifest that `write` wrote; anything else raises PipelineError."""
+        try:
+            payload = json.loads(Path(path).read_text())
+            return RunManifest(payload["config"], [FrameRecord(**f) for f in payload["frames"]])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise PipelineError(f"{path}: cannot read a run manifest ({exc!r})") from exc
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -255,8 +264,6 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
 
     # only the oracle reads the ground truth; other backends ignore gt/meta
     if cfg.backend == "oracle":
-        if not (input_dir / "gt" / "meta").exists():
-            raise PipelineError("oracle backend requires a benchmark bundle (gt/meta)")
         bundle = load_bundle(input_dir)
         backend = _OracleAdapter(bundle, cfg.oracle_noise(), cfg.oracle_count, cfg.seed)
         unknown = sorted((set(frame_ids) | set(x)) - set(backend.index))
@@ -329,12 +336,12 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
 
     if cfg.enable_area_sampling:
         mask = _area_mask_for(ctx, fid, shape)
-        if mask is not None:
+        if isinstance(mask, Mask):
             sparse, conf = area_sample(
                 sparse, conf, warped, validity, mask, stage_seed(cfg.seed, k, 2)
             )
         else:
-            rec.warnings.append("no area mask available; area sampling skipped")
+            rec.warnings.append(f"{mask}; area sampling skipped")
 
     certainty: dict[float, float] = {}
     try:
@@ -379,7 +386,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
             rec.lsim_after = fuse_filter.self_match_score(
                 fuse_filter.similarity_matrix(f_rgb, f_after)
             )
-        except (DensifyError, RgbxError) as exc:
+        except RgbxError as exc:
             rec.status = "fallback"
             rec.fallback = "fused"
             rec.warnings.append(f"filtering stage failed ({exc}); fused output kept")
@@ -389,13 +396,17 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     return rec
 
 
-def _area_mask_for(ctx: _RunContext, fid: str, shape: tuple[int, int]) -> Mask | None:
-    if fid in ctx.masks:
+def _area_mask_for(ctx: _RunContext, fid: str, shape: tuple[int, int]) -> Mask | str:
+    """The frame's area mask, or why there is none (masks are optional)."""
+    if fid not in ctx.masks:
+        return "no area mask available"
+    try:
         img = load_image(ctx.masks[fid])
-        if img.shape != shape:
-            return None
-        return Mask(img.data > 0.5 if img.channels == 1 else img.data[:, :, 0] > 0.5)
-    return None
+    except ImageIOError as exc:
+        return f"area mask unreadable ({exc})"
+    if img.shape != shape:
+        return "no area mask available"
+    return Mask(img.data > 0.5 if img.channels == 1 else img.data[:, :, 0] > 0.5)
 
 
 def _write_frame_output(ctx: _RunContext, rec: FrameRecord, img: Image) -> None:
@@ -408,7 +419,12 @@ def _write_frame_output(ctx: _RunContext, rec: FrameRecord, img: Image) -> None:
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Run every stage for every frame; per-frame failures are isolated."""
     ctx = _load_context(cfg)
-    manifest = RunManifest(config=cfg.to_json())
+    config = cfg.to_json()
+    # absolute, so that `export` finds the run's input and outputs from any
+    # working directory
+    for key in ("input_dir", "output_dir"):
+        config[key] = str(Path(config[key]).resolve())
+    manifest = RunManifest(config=config)
 
     def safe(n: int) -> FrameRecord:
         fid = ctx.frame_ids[n]
@@ -502,24 +518,31 @@ def export_dataset(
     manifest: RunManifest,
     model: ColmapModel,
     out_dir: str | Path,
-    input_dir: str | Path | None = None,
     run_dir: str | Path | None = None,
     name_format: str = "{frame}.png",
 ) -> dict:
     """Write an aligned multi-view dataset: RGB frames, 16-bit X, poses.
 
-    Frames without a pose in the COLMAP model are excluded with a warning;
+    Every recorded output must exist with its manifest sha256, else
+    PipelineError before anything is written. Frames without a pose in the
+    COLMAP model or without their RGB source are excluded with a warning;
     no overlap at all is an error. Returns the export mapping manifest.
     """
     out = Path(out_dir)
-    input_dir = Path(input_dir if input_dir is not None else manifest.config["input_dir"])
+    input_dir = Path(manifest.config["input_dir"])
     run_dir = Path(run_dir if run_dir is not None else manifest.config["output_dir"])
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "x").mkdir(parents=True, exist_ok=True)
+    for rec in manifest.frames:
+        for rel, digest in rec.outputs.items():
+            path = run_dir / rel
+            if not path.is_file():
+                raise PipelineError(f"frame {rec.frame}: output {path} is missing")
+            if _sha256(path) != digest:
+                raise PipelineError(f"frame {rec.frame}: output {path} differs from the manifest")
 
     by_name = model.by_name()
     mapping = {}
     warnings = []
+    no_rgb = 0
     for rec in manifest.frames:
         if rec.status == "failed" or not rec.outputs:
             warnings.append(f"frame {rec.frame}: no output to export")
@@ -531,7 +554,11 @@ def export_dataset(
         rgb_src = input_dir / "rgb" / f"{rec.frame}.png"
         if not rgb_src.exists():
             warnings.append(f"frame {rec.frame}: missing RGB source {rgb_src}")
+            no_rgb += 1
             continue
+        # made with the first copy, so an export that exports nothing leaves nothing
+        (out / "images").mkdir(parents=True, exist_ok=True)
+        (out / "x").mkdir(exist_ok=True)
         shutil.copyfile(rgb_src, out / "images" / name)
         x_rel = next(iter(rec.outputs))
         x_src = run_dir / x_rel
@@ -541,11 +568,12 @@ def export_dataset(
         if sidecar.exists():
             shutil.copyfile(sidecar, x_dst.with_name(x_dst.name + ".units"))
         mapping[by_name[name].image_id] = {"name": name, "x": f"x/{rec.frame}.png"}
+    for w in warnings:
+        logger.warning("%s", w)
     if not mapping:
-        raise PipelineError("no overlap between run frames and COLMAP images")
+        why = f"; {no_rgb} frames lack their RGB source in {input_dir / 'rgb'}" if no_rgb else ""
+        raise PipelineError(f"no overlap between run frames and COLMAP images{why}")
     write_colmap_model(model, out / "sparse")
     payload = {"images": mapping, "warnings": warnings}
     (out / "dataset.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    for w in warnings:
-        logger.warning("%s", w)
     return payload

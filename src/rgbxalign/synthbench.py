@@ -28,7 +28,7 @@ from scipy.ndimage import binary_erosion, gaussian_filter
 
 from .errors import MetricError, RgbxError
 from .fuse_filter import PatchGrid
-from .imgcore import Image, Mask, _luma, bilinear_sample, save_image
+from .imgcore import Image, Mask, _freeze, _luma, _pixel_grid, bilinear_sample, save_image
 from .matching import MatchSet, _apply_homography
 
 logger = logging.getLogger(__name__)
@@ -178,8 +178,7 @@ def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell: int, oc
         amp *= 0.55
         cell = max(3, cell // 2)
     acc /= total
-    lo, hi = acc.min(), acc.max()
-    return (acc - lo) / (hi - lo) if hi > lo else np.zeros(shape)
+    return _normalized(acc)
 
 
 def _normalized(arr: np.ndarray) -> np.ndarray:
@@ -362,9 +361,7 @@ class GroundTruthBundle:
     @functools.cached_property
     def _pixels(self) -> np.ndarray:
         """(row, col) of every pixel in row-major order, as (H*W, 2) floats."""
-        pts = _pixel_grid(*self.shape)
-        pts.flags.writeable = False
-        return pts
+        return _freeze(_pixel_grid(*self.shape))
 
     def _field(
         self,
@@ -420,12 +417,6 @@ class GroundTruthBundle:
     def rgb_correspondence(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Subpixel coords in RGB frame j for each RGB-frame-i pixel, plus validity."""
         return self._field(i, self.maps_rgb, self.alphas_rgb, j)
-
-
-def _pixel_grid(height: int, width: int) -> np.ndarray:
-    """(row, col) of every pixel in row-major order, as (H*W, 2) floats."""
-    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    return np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
 
 
 def _layer_stacks(
@@ -968,9 +959,7 @@ def _load_scene(path: Path, _size: int, _mtime_ns: int, cfg: SceneConfig) -> Gro
         # evaluate_run, as a scene regenerated in-process did. Read frame by
         # frame instead, each evaluate_run call after a two-worker run at
         # 512 px faulted in ~26k fresh pages and took 0.07 s longer.
-        arrays[name] = tuple(np.array(frame) for frame in stack)
-        for arr in arrays[name]:
-            arr.flags.writeable = False
+        arrays[name] = tuple(_freeze(np.array(frame)) for frame in stack)
 
     def masks(name: str) -> tuple[Mask, ...]:
         return tuple(Mask(bits) for bits in arrays[name])

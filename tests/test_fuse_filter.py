@@ -354,7 +354,7 @@ class TestConcentrationFilter:
         res = concentration_and_filter(img, self.make_sim(diag), grid)
         assert list(np.flatnonzero(res.rejected_patches)) == [8]
         rs, cs = grid.bounds(8)
-        assert res.rejected.bits[rs, cs].all()
+        assert (~res.sparse.known[rs, cs]).all()
         assert (res.sparse.counts[rs, cs] == 0).all()
         assert (res.conf.conf[rs, cs] == 0.0).all()
 

@@ -15,10 +15,10 @@ from rgbxalign.imgcore import (
     Mask,
     SparseMap,
     bilinear_sample,
+    gray_array,
     load_image,
     read_units_sidecar,
     save_image,
-    to_grayscale,
 )
 
 
@@ -216,20 +216,20 @@ class TestLoadSave:
 
 class TestGrayscale:
     def test_luma_weights(self):
-        assert to_grayscale(Image(np.ones((2, 2, 3)))).data[0, 0] == pytest.approx(1.0)
+        assert gray_array(Image(np.ones((2, 2, 3))))[0, 0] == pytest.approx(1.0)
         red = np.zeros((2, 2, 3))
         red[:, :, 0] = 1.0
-        assert to_grayscale(Image(red)).data[0, 0] == pytest.approx(0.299)
+        assert gray_array(Image(red))[0, 0] == pytest.approx(0.299)
 
     def test_identity_for_gray(self, rng):
         img = Image(rng.random((4, 4)))
-        assert to_grayscale(img) is img
+        assert gray_array(img) is img.data
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_range_preserved(self, seed):
         data = np.random.default_rng(seed).random((6, 6, 3))
-        out = to_grayscale(Image(data)).data
+        out = gray_array(Image(data))
         assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-12
 
 

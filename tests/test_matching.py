@@ -105,6 +105,13 @@ class TestMatchSet:
         assert np.array_equal(back.p_rgb, ms.p_rgb)
         assert np.array_equal(back.conf, ms.conf)
 
+    @pytest.mark.parametrize("body", [b"a b\n1\n1 2 abc 4 0.5\n", b"a b\n1\n\xff 2 3 4 0.5\n"],
+                             ids=["non-numeric", "not-utf8"])
+    def test_malformed_file_rejected(self, tmp_path, body):
+        (tmp_path / "m.txt").write_bytes(body)
+        with pytest.raises(MatchingError, match="m.txt"):
+            load_matchset(tmp_path / "m.txt")
+
     def test_empty_file_round_trip(self, tmp_path):
         ms = MatchSet("a", "b", np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
         save_matchset(ms, tmp_path / "e.txt")
@@ -335,10 +342,12 @@ class TestBatchedKernels:
     def test_batched_dlt_matches_scalar(self, rng):
         src = rng.normal(size=(200, 4, 2))
         dst = src + rng.normal(scale=0.3, size=(200, 4, 2))
-        h, usable = matching._dlt_minimal(src, dst)
+        h, usable = matching._dlt(src, dst)
         assert usable.all()
         for k in range(200):
-            ref = matching._dlt(src[k], dst[k])
+            ref, ok = matching._dlt(src[k : k + 1], dst[k : k + 1])
+            assert ok[0]
+            ref = ref[0]
             scale = np.abs(ref).max()
             assert np.abs(h[k] - ref).max() <= 1e-9 * scale
 

@@ -185,9 +185,11 @@ class TestRun:
         manifest = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=3))
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
 
-    def test_nan_confidence_fails_only_its_frame(self, bench_dir, tmp_path):
-        """A match file with a NaN confidence costs its frame, not the run:
-        every other frame writes what it writes without that file."""
+    @staticmethod
+    def _bad_match_field_runs(bench_dir, tmp_path, field):
+        """File-backend runs with the first match of 0002_0003.txt ending in
+        `field`, and with that file absent: (bad, absent) frame records.
+        Only frame 0002's window uses the file."""
         import shutil
 
         from rgbxalign.matching import save_matchset
@@ -195,7 +197,7 @@ class TestRun:
 
         bundle = load_bundle(bench_dir)
         runs = {}
-        for case in ("nan", "absent"):
+        for case in ("bad", "absent"):
             inp = tmp_path / case
             shutil.copytree(bench_dir, inp)
             (inp / "matches").mkdir()
@@ -205,15 +207,20 @@ class TestRun:
                     ms = MatchSet(fid, f"{m:04d}", ms.p_rgb, ms.p_x, ms.conf)
                     save_matchset(ms, inp / "matches" / f"{fid}_{m:04d}.txt")
             bad = inp / "matches" / "0002_0003.txt"
-            if case == "nan":
+            if case == "bad":
                 lines = bad.read_text().splitlines()
-                lines[2] = " ".join(lines[2].split()[:4] + ["nan"])
+                lines[2] = " ".join(lines[2].split()[:4] + [field])
                 bad.write_text("\n".join(lines) + "\n")
             else:
                 bad.unlink()
             runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}", backend="file",
                                                   window=3))
-        nan, absent = runs["nan"].frames, runs["absent"].frames
+        return runs["bad"].frames, runs["absent"].frames
+
+    def test_nan_confidence_fails_only_its_frame(self, bench_dir, tmp_path):
+        """A match file with a NaN confidence costs its frame, not the run:
+        every other frame writes what it writes without that file."""
+        nan, absent = self._bad_match_field_runs(bench_dir, tmp_path, "nan")
         assert [f.frame for f in nan] == [f.frame for f in absent]
         assert nan[2].status == "failed" and not nan[2].outputs
         assert any("confidence" in w for w in nan[2].warnings)
@@ -221,8 +228,27 @@ class TestRun:
             if a.frame != "0002":
                 assert a.status != "failed" and a.outputs == b.outputs, a.frame
 
-    @pytest.mark.parametrize("keep", [0.5, 20], ids=["half", "header"])
-    def test_unreadable_x_frame_counts_as_missing(self, bench_dir, tmp_path, keep):
+    def test_non_numeric_match_field_fails_only_its_frame(self, bench_dir, tmp_path):
+        bad, absent = self._bad_match_field_runs(bench_dir, tmp_path, "abc")
+        assert [f.frame for f in bad] == [f.frame for f in absent]
+        assert bad[2].status == "failed" and not bad[2].outputs
+        assert any("0002_0003.txt:3: non-numeric field" in w for w in bad[2].warnings)
+        for a, b in zip(bad, absent):
+            if a.frame != "0002":
+                assert a.status != "failed" and a.outputs == b.outputs, a.frame
+
+    @pytest.mark.parametrize("damage", [
+        lambda v: v.write_bytes(v.read_bytes()[: len(v.read_bytes()) // 2]),
+        lambda v: v.write_bytes(v.read_bytes()[:20]),
+        lambda v: v.write_bytes(b"P5\nabc 4 255\n"),
+        lambda v: v.write_bytes(b"P2\n2 2 255\n1 2 x 4\n"),
+        lambda v: v.write_bytes(b"P5\n0 0 255\n"),
+        lambda v: v.with_name(v.name + ".units").write_text("scale nan\n"),
+        lambda v: v.with_name(v.name + ".units").write_text("units celsius\noffset inf\n"),
+        lambda v: v.with_name(v.name + ".units").write_bytes(b"\xff\xfe"),
+    ], ids=["half", "header", "pgm-header", "pgm-sample", "empty", "nan-scale", "inf-offset",
+            "sidecar-bytes"])
+    def test_unreadable_x_frame_counts_as_missing(self, bench_dir, tmp_path, damage):
         import shutil
 
         runs = {}
@@ -231,8 +257,7 @@ class TestRun:
             shutil.copytree(bench_dir, inp)
             victim = inp / "x_raw" / "0003.png"
             if case == "truncated":
-                blob = victim.read_bytes()
-                victim.write_bytes(blob[: int(keep * len(blob)) if keep < 1 else keep])
+                damage(victim)
             else:
                 victim.unlink()
             runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}", window=3))
@@ -290,6 +315,21 @@ class TestRun:
         warned = {f.frame: f.warnings for f in manifest.frames if f.warnings}
         assert list(warned) == ["0001"]
         assert any("homography estimation failed" in w for w in warned["0001"])
+
+    def test_unreadable_area_mask_skips_area_sampling(self, bench_dir, tmp_path):
+        import shutil
+
+        inp = tmp_path / "in"
+        shutil.copytree(bench_dir, inp)
+        (inp / "masks" / "0001.png").write_bytes(b"garbage")
+        base = run_pipeline(fast_config(bench_dir, tmp_path / "base")).frames
+        got = run_pipeline(fast_config(inp, tmp_path / "out")).frames
+        assert [f.status for f in got] == ["ok"] * 6
+        assert any(w.startswith("area mask unreadable") and w.endswith("area sampling skipped")
+                   for w in got[1].warnings)
+        for a, b in zip(got, base):
+            if a.frame != "0001":
+                assert a.outputs == b.outputs, a.frame
 
     def test_dump_levels(self, bench_dir, tmp_path):
         run_pipeline(fast_config(bench_dir, tmp_path / "out", dump_levels=True))
@@ -368,6 +408,40 @@ class TestExport:
         model = parse_colmap_model(minimal_colmap(tmp_path, ["other.png"]))
         with pytest.raises(PipelineError):
             export_dataset(manifest, model, tmp_path / "exp")
+
+    @pytest.mark.parametrize("damage", ["deleted", "altered"])
+    def test_bad_output_stops_export_before_writing(self, bench_dir, tmp_path, damage):
+        manifest = run_pipeline(fast_config(bench_dir, tmp_path / "run"))
+        model = parse_colmap_model(minimal_colmap(tmp_path, [f"{n:04d}.png" for n in range(6)]))
+        victim = tmp_path / "run" / "x_final" / "0003.png"
+        if damage == "deleted":
+            victim.unlink()
+        else:
+            victim.write_bytes((tmp_path / "run" / "x_final" / "0000.png").read_bytes())
+        with pytest.raises(PipelineError, match="frame 0003: output .*0003.png"):
+            export_dataset(manifest, model, tmp_path / "exp")
+        assert not (tmp_path / "exp").exists()
+
+    def test_export_from_another_directory(self, bench_dir, tmp_path, monkeypatch, caplog):
+        import shutil
+
+        (tmp_path / "a").mkdir()
+        (tmp_path / "c").mkdir()
+        shutil.copytree(bench_dir, tmp_path / "a" / "b")
+        model_dir = minimal_colmap(tmp_path, [f"{n:04d}.png" for n in range(6)])
+        monkeypatch.chdir(tmp_path / "a")
+        run_pipeline(fast_config("b", "run"))
+        monkeypatch.chdir(tmp_path / "c")
+        assert cli_main(["export", "--run", "../a/run", "--model", str(model_dir),
+                         "--out", "exp"]) == 0
+        assert len(list((tmp_path / "c" / "exp" / "images").glob("*.png"))) == 6
+        # with the input gone, the error and the warnings name the cause
+        shutil.rmtree(tmp_path / "a" / "b" / "rgb")
+        manifest = RunManifest.read(tmp_path / "a" / "run" / "manifest.json")
+        with pytest.raises(PipelineError, match="6 frames lack their RGB source"):
+            export_dataset(manifest, parse_colmap_model(model_dir), "exp2")
+        assert caplog.text.count("missing RGB source") == 6
+        assert not (tmp_path / "c" / "exp2").exists()
 
 
 class TestCli:
