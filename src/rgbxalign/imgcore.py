@@ -420,17 +420,18 @@ def load_image(path: str | Path) -> Image:
     carries the sidecar's units tag.
     """
     path = Path(path)
-    if not path.exists():
-        raise ImageIOError(f"no such file: {path}")
-    with path.open("rb") as fh:
-        head = fh.read(2)
-    if head == _PNG_SIG[:2]:
-        raw, depth = _read_png(path)
-    elif head in (b"P2", b"P5"):
-        raw, depth = _read_pgm(path)
-    else:
-        raise ImageIOError(f"{path}: unrecognized image format")
-    sidecar = read_units_sidecar(path)
+    try:
+        with path.open("rb") as fh:
+            head = fh.read(2)
+        if head == _PNG_SIG[:2]:
+            raw, depth = _read_png(path)
+        elif head in (b"P2", b"P5"):
+            raw, depth = _read_pgm(path)
+        else:
+            raise ImageIOError(f"{path}: unrecognized image format")
+        sidecar = read_units_sidecar(path)
+    except OSError as exc:
+        raise ImageIOError(f"{path}: cannot read ({exc})") from exc
     # an empty raster, or non-finite values from a sidecar, is not an image
     try:
         if sidecar is not None:

@@ -587,7 +587,9 @@ def load_matchset(path: str | Path) -> MatchSet:
     try:
         count = int(lines[1])
     except ValueError as exc:
-        raise MatchingError(f"{path}: bad count line") from exc
+        raise MatchingError(f"{path}:2: bad count line") from exc
+    if count < 0:
+        raise MatchingError(f"{path}:2: negative match count {count}")
     if len(lines) < 2 + count:
         raise MatchingError(f"{path}: expected {count} matches, found {len(lines) - 2}")
     rows = []

@@ -262,7 +262,7 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     x, unreadable_x = _load_frames(x_paths)
     masks = _frame_paths(input_dir / "masks")
 
-    # only the oracle reads the ground truth; other backends ignore gt/meta
+    # only the oracle reads the ground truth; other backends ignore gt/
     if cfg.backend == "oracle":
         bundle = load_bundle(input_dir)
         backend = _OracleAdapter(bundle, cfg.oracle_noise(), cfg.oracle_count, cfg.seed)
@@ -523,11 +523,19 @@ def export_dataset(
 ) -> dict:
     """Write an aligned multi-view dataset: RGB frames, 16-bit X, poses.
 
-    Every recorded output must exist with its manifest sha256, else
-    PipelineError before anything is written. Frames without a pose in the
+    `name_format` must format every frame id, and every recorded output
+    must exist with its manifest sha256, else PipelineError before anything
+    is written. Frames without a pose in the
     COLMAP model or without their RGB source are excluded with a warning;
     no overlap at all is an error. Returns the export mapping manifest.
     """
+    try:
+        names = {rec.frame: name_format.format(frame=rec.frame) for rec in manifest.frames}
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        raise PipelineError(
+            f"bad name format {name_format!r} ({type(exc).__name__}: {exc}); "
+            "it may use only {frame}, the frame id"
+        ) from exc
     out = Path(out_dir)
     input_dir = Path(manifest.config["input_dir"])
     run_dir = Path(run_dir if run_dir is not None else manifest.config["output_dir"])
@@ -547,7 +555,7 @@ def export_dataset(
         if rec.status == "failed" or not rec.outputs:
             warnings.append(f"frame {rec.frame}: no output to export")
             continue
-        name = name_format.format(frame=rec.frame)
+        name = names[rec.frame]
         if name not in by_name:
             warnings.append(f"frame {rec.frame}: no pose for {name}")
             continue

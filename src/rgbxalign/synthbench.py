@@ -9,7 +9,7 @@ while still exhibiting the planar-warp failure mode that motivates the
 pipeline: no single homography aligns both layers.
 
 Everything is a deterministic function of (seed, config); regenerating a
-bundle from its echoed config is bit-identical. A saved bundle stores its
+bundle from its stored config is bit-identical. A saved bundle stores its
 arrays, so loading one reads them back instead of regenerating the scene.
 """
 
@@ -349,14 +349,6 @@ class GroundTruthBundle:
 
     def foreground_mask(self, frame: int) -> Mask:
         return Mask(self.layer_maps[frame] >= 1)
-
-    def layer_homographies(self, frame: int) -> list[np.ndarray]:
-        """RGB-frame -> X-frame homography of each layer for one frame."""
-        out = []
-        for l in range(self.cfg.layers):
-            h = self.maps_x[frame][l] @ np.linalg.inv(self.maps_rgb[frame][l])
-            out.append(h / h[2, 2])
-        return out
 
     @functools.cached_property
     def _pixels(self) -> np.ndarray:
@@ -856,38 +848,32 @@ def _frame_array(value: Image | Mask | np.ndarray | tuple[np.ndarray, ...]) -> n
 def save_bundle(bundle: GroundTruthBundle, out_dir: str | Path) -> None:
     """Persist frames and ground truth.
 
-    Frames go to rgb/, x_gt/, x_raw/ and masks/ as PNG, the per-layer
-    RGB->X homographies to gt/homographies.txt, the scene config to gt/meta,
-    and every array of the bundle, with its dtype, to gt/scene.npz (one
-    member per field with the frames stacked, plus the config echoed as
-    JSON), which is what `load_bundle` reads back.
+    The run's inputs go to rgb/, x_raw/ and masks/ as PNG. Everything else
+    goes to gt/scene.npz, which marks the bundle and is what `load_bundle`
+    reads back: the scene config as a JSON `config` member, and every array
+    of the bundle, with its dtype, as one member per field with the frames
+    stacked.
     """
     out = Path(out_dir)
-    for sub in ("rgb", "x_gt", "x_raw", "masks", "gt"):
+    for sub in ("rgb", "x_raw", "masks", "gt"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     for n, fid in enumerate(bundle.frame_ids):
         save_image(bundle.rgb[n], out / "rgb" / f"{fid}.png", bit_depth=8)
-        save_image(bundle.x_gt[n], out / "x_gt" / f"{fid}.png", bit_depth=16)
         save_image(bundle.x_raw[n], out / "x_raw" / f"{fid}.png", bit_depth=16)
         save_image(
             Image(bundle.area_masks[n].bits.astype(np.float64)),
             out / "masks" / f"{fid}.png",
             bit_depth=8,
         )
-    lines = ["# frame layer h00 h01 h02 h10 h11 h12 h20 h21 h22 (RGB->X, row-major)"]
-    for n in range(bundle.frames):
-        for l, h in enumerate(bundle.layer_homographies(n)):
-            entries = " ".join(repr(float(v)) for v in h.ravel())
-            lines.append(f"{n} {l} {entries}")
-    (out / "gt" / "homographies.txt").write_text("\n".join(lines) + "\n")
     members = {"config": np.array(json.dumps(asdict(bundle.cfg)))}
     for name in _scene_layout(bundle.cfg):
         members[name] = np.stack([_frame_array(value) for value in getattr(bundle, name)])
     np.savez(out / "gt" / _SCENE_FILE, **members)
-    (out / "gt" / "meta").write_text(json.dumps(asdict(bundle.cfg), indent=2) + "\n")
 
 
 def _scene_config(raw: dict, source: Path) -> SceneConfig:
+    if not isinstance(raw, dict):
+        raise RgbxError(f"{source}: scene config is not a JSON object")
     unknown = sorted(set(raw) - {f.name for f in fields(SceneConfig)})
     if unknown:
         raise RgbxError(
@@ -905,43 +891,41 @@ def _scene_config(raw: dict, source: Path) -> SceneConfig:
 def load_bundle(in_dir: str | Path) -> GroundTruthBundle:
     """Load a bundle written by `save_bundle`.
 
-    The scene config comes from gt/meta; the arrays from gt/scene.npz, which
-    must echo the same config and hold arrays of the shapes and dtypes that
-    config implies, else RgbxError. A bundle without gt/scene.npz predates
-    it and must be regenerated with `rgbxalign synth`.
+    gt/scene.npz marks the bundle. It must hold a scene config and arrays of
+    the shapes and dtypes that config implies, else RgbxError; files that
+    older versions wrote beside it (gt/meta, gt/homographies.txt, x_gt/)
+    are ignored.
 
     The most recently loaded bundle is kept, keyed on the scene file (path,
-    size, modification time) and the config, and shared, so a run and its
-    evaluation (or several runs over one bundle) read it once; all of its
-    arrays are read-only.
+    size, modification time), and shared, so a run and its evaluation (or
+    several runs over one bundle) read it once; all of its arrays are
+    read-only.
     """
-    meta = Path(in_dir) / "gt" / "meta"
-    if not meta.exists():
-        raise RgbxError(f"{in_dir}: not a benchmark bundle (missing gt/meta)")
-    cfg = _scene_config(json.loads(meta.read_text()), meta)
     scene = Path(in_dir) / "gt" / _SCENE_FILE
     if not scene.exists():
         raise RgbxError(
-            f"{in_dir}: bundle has no gt/{_SCENE_FILE} (written by an older version); "
-            "regenerate it with `rgbxalign synth`"
+            f"{in_dir}: not a benchmark bundle (missing gt/{_SCENE_FILE}); "
+            "generate one with `rgbxalign synth`"
         )
     stat = scene.stat()
-    return _load_scene(scene.resolve(), stat.st_size, stat.st_mtime_ns, cfg)
+    return _load_scene(scene.resolve(), stat.st_size, stat.st_mtime_ns)
 
 
 @functools.lru_cache(maxsize=1)
-def _load_scene(path: Path, _size: int, _mtime_ns: int, cfg: SceneConfig) -> GroundTruthBundle:
-    layout = _scene_layout(cfg)
+def _load_scene(path: Path, _size: int, _mtime_ns: int) -> GroundTruthBundle:
     try:
         with np.load(path) as npz:
+            if "config" not in npz.files:
+                raise RgbxError(
+                    f"{path}: no scene config member; regenerate the bundle with `rgbxalign synth`"
+                )
+            cfg = _scene_config(json.loads(str(npz["config"])), path)
+            layout = _scene_layout(cfg)
             if set(npz.files) != {"config", *layout}:
                 raise RgbxError(
-                    f"{path}: members {sorted(npz.files)} do not match gt/meta; "
+                    f"{path}: members {sorted(npz.files)} do not match its scene config; "
                     "regenerate the bundle with `rgbxalign synth`"
                 )
-            echoed = _scene_config(json.loads(str(npz["config"])), path)
-            if echoed != cfg:
-                raise RgbxError(f"{path}: scene config {echoed} disagrees with gt/meta {cfg}")
             stacks = {name: npz[name] for name in layout}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RgbxError(f"{path}: unreadable scene file ({exc})") from exc
@@ -951,7 +935,7 @@ def _load_scene(path: Path, _size: int, _mtime_ns: int, cfg: SceneConfig) -> Gro
         if stack.shape != (cfg.frames, *shape) or stack.dtype != dtype:
             raise RgbxError(
                 f"{path}: {name} array is {stack.dtype}{list(stack.shape)}, "
-                f"gt/meta implies {np.dtype(dtype)}{[cfg.frames, *shape]}"
+                f"its scene config implies {np.dtype(dtype)}{[cfg.frames, *shape]}"
             )
         # Each frame gets its own buffer, copied out of the stack, which is
         # then freed. Besides keeping frames independent, this leaves

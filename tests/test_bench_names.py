@@ -77,3 +77,23 @@ def test_per_layer_functions_exist():
         head, _, stat = metric.rpartition(".")
         if stat in SPAN_STATS and head not in TRACER.LAYERS:
             _resolve(head)
+
+
+def test_bench_setup_builds_every_workload(monkeypatch):
+    """bench/run.py builds each workload's bundle with synthbench's
+    SceneConfig, gen_sequence and save_bundle, and bench/job.py runs it with
+    a PipelineConfig of the workload's fields; a rename there fails every
+    bench run."""
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports job.py, which imports tracer.py
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    from rgbxalign import synthbench
+    from rgbxalign.pipeline import PipelineConfig
+
+    for name in ("SceneConfig", "gen_sequence", "save_bundle"):
+        assert callable(getattr(synthbench, name, None)), f"synthbench has no {name}"
+    assert run.WORKLOADS
+    for wl in run.WORKLOADS.values():
+        synthbench.SceneConfig(seed=0, **wl["scene"])
+        PipelineConfig(**wl["pipeline"])

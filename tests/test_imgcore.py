@@ -214,6 +214,63 @@ class TestLoadSave:
         assert samples == expect
 
 
+def _spec_png(arr, bit_depth, filters):
+    """A PNG of `arr` (uint, (H, W) or (H, W, 3)) encoded straight from the
+    PNG specification, scanline r filtered with filter type filters[r]."""
+    import struct
+    import zlib
+
+    height, width = arr.shape[:2]
+    channels = 1 if arr.ndim == 2 else 3
+    bpp = channels * bit_depth // 8
+    rows = arr.astype(">u2" if bit_depth == 16 else np.uint8).reshape(height, -1).view(np.uint8)
+
+    def paeth(a, b, c):
+        p = a + b - c
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        return a if pa <= pb and pa <= pc else b if pb <= pc else c
+
+    raw = bytearray()
+    prior = [0] * rows.shape[1]
+    for r, ftype in enumerate(filters):
+        line = [int(v) for v in rows[r]]
+        raw.append(ftype)
+        for i, x in enumerate(line):
+            a = line[i - bpp] if i >= bpp else 0
+            b = prior[i]
+            c = prior[i - bpp] if i >= bpp else 0
+            pred = (0, a, b, (a + b) // 2, paeth(a, b, c))[ftype]
+            raw.append((x - pred) % 256)
+        prior = line
+
+    def chunk(tag, payload):
+        body = tag + payload
+        return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
+
+    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, 0 if channels == 1 else 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
+
+
+class TestPngFilters:
+    """The Sub, Up, Average and Paeth scanline filters other encoders use."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("filters", [
+        [1] * 8, [2] * 8, [3] * 8, [4] * 8, [4, 3, 2, 1, 0, 4, 4, 1],
+    ], ids=["sub", "up", "average", "paeth", "mixed"])
+    def test_filtered_png_decodes(self, tmp_path, rng, bit_depth, channels, filters):
+        maxval = 2**bit_depth - 1
+        shape = (8, 8) if channels == 1 else (8, 8, 3)
+        arr = rng.integers(0, maxval + 1, shape)
+        arr[2:] = rng.integers(0, 4, arr[2:].shape)  # ties among Paeth's predictors
+        arr[0, 0] = maxval  # carries past 255 in every filter's sum
+        (tmp_path / "f.png").write_bytes(_spec_png(arr, bit_depth, filters))
+        back = load_image(tmp_path / "f.png")
+        assert np.array_equal(np.rint(back.data * maxval).astype(np.int64), arr)
+
+
 class TestGrayscale:
     def test_luma_weights(self):
         assert gray_array(Image(np.ones((2, 2, 3))))[0, 0] == pytest.approx(1.0)

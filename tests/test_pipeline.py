@@ -25,6 +25,21 @@ from rgbxalign.synthbench import SceneConfig, gen_sequence, save_bundle
 FAST_DENSIFY = dict(iterations=10)
 
 
+def _edit_scene_config(bundle, edit):
+    """Rewrite the config member of a bundle's gt/scene.npz as edit(config)."""
+    scene = bundle / "gt" / "scene.npz"
+    with np.load(scene) as npz:
+        members = {k: npz[k] for k in npz.files}
+    np.savez(scene, **dict(members, config=np.array(edit(str(members["config"])))))
+
+
+def _first_match_ending(field):
+    """An edit of a match file's lines that ends its first match in `field`."""
+    def edit(lines):
+        lines[2] = " ".join(lines[2].split()[:4] + [field])
+    return edit
+
+
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "bundle"
@@ -155,8 +170,7 @@ class TestRun:
 
         bundle = tmp_path / "bundle"
         save_bundle(gen_sequence(SceneConfig(seed=5, size=64, frames=2, modality="nir-like")), bundle)
-        meta = bundle / "gt" / "meta"
-        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), retired_option=1)))
+        _edit_scene_config(bundle, lambda c: json.dumps(dict(json.loads(c), retired_option=1)))
         manifest = run_pipeline(fast_config(bundle, tmp_path / "classical", backend="classical"))
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
         with pytest.raises(RgbxError, match="retired_option"):
@@ -186,9 +200,9 @@ class TestRun:
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
 
     @staticmethod
-    def _bad_match_field_runs(bench_dir, tmp_path, field):
-        """File-backend runs with the first match of 0002_0003.txt ending in
-        `field`, and with that file absent: (bad, absent) frame records.
+    def _bad_match_file_runs(bench_dir, tmp_path, edit):
+        """File-backend runs with the lines of 0002_0003.txt changed in place
+        by `edit`, and with that file absent: (bad, absent) frame records.
         Only frame 0002's window uses the file."""
         import shutil
 
@@ -209,7 +223,7 @@ class TestRun:
             bad = inp / "matches" / "0002_0003.txt"
             if case == "bad":
                 lines = bad.read_text().splitlines()
-                lines[2] = " ".join(lines[2].split()[:4] + [field])
+                edit(lines)
                 bad.write_text("\n".join(lines) + "\n")
             else:
                 bad.unlink()
@@ -220,7 +234,7 @@ class TestRun:
     def test_nan_confidence_fails_only_its_frame(self, bench_dir, tmp_path):
         """A match file with a NaN confidence costs its frame, not the run:
         every other frame writes what it writes without that file."""
-        nan, absent = self._bad_match_field_runs(bench_dir, tmp_path, "nan")
+        nan, absent = self._bad_match_file_runs(bench_dir, tmp_path, _first_match_ending("nan"))
         assert [f.frame for f in nan] == [f.frame for f in absent]
         assert nan[2].status == "failed" and not nan[2].outputs
         assert any("confidence" in w for w in nan[2].warnings)
@@ -229,13 +243,18 @@ class TestRun:
                 assert a.status != "failed" and a.outputs == b.outputs, a.frame
 
     def test_non_numeric_match_field_fails_only_its_frame(self, bench_dir, tmp_path):
-        bad, absent = self._bad_match_field_runs(bench_dir, tmp_path, "abc")
-        assert [f.frame for f in bad] == [f.frame for f in absent]
-        assert bad[2].status == "failed" and not bad[2].outputs
-        assert any("0002_0003.txt:3: non-numeric field" in w for w in bad[2].warnings)
-        for a, b in zip(bad, absent):
-            if a.frame != "0002":
-                assert a.status != "failed" and a.outputs == b.outputs, a.frame
+        for edit, warning in (
+            (_first_match_ending("abc"), "0002_0003.txt:3: non-numeric field"),
+            (lambda lines: lines.__setitem__(1, "-1"), "0002_0003.txt:2: negative match count"),
+        ):
+            out = tmp_path / warning.split()[-1]
+            bad, absent = self._bad_match_file_runs(bench_dir, out, edit)
+            assert [f.frame for f in bad] == [f.frame for f in absent]
+            assert bad[2].status == "failed" and not bad[2].outputs
+            assert any(warning in w for w in bad[2].warnings), warning
+            for a, b in zip(bad, absent):
+                if a.frame != "0002":
+                    assert a.status != "failed" and a.outputs == b.outputs, a.frame
 
     @pytest.mark.parametrize("damage", [
         lambda v: v.write_bytes(v.read_bytes()[: len(v.read_bytes()) // 2]),
@@ -246,8 +265,10 @@ class TestRun:
         lambda v: v.with_name(v.name + ".units").write_text("scale nan\n"),
         lambda v: v.with_name(v.name + ".units").write_text("units celsius\noffset inf\n"),
         lambda v: v.with_name(v.name + ".units").write_bytes(b"\xff\xfe"),
+        lambda v: v.unlink() or v.mkdir(),
+        lambda v: v.with_name(v.name + ".units").mkdir(),
     ], ids=["half", "header", "pgm-header", "pgm-sample", "empty", "nan-scale", "inf-offset",
-            "sidecar-bytes"])
+            "sidecar-bytes", "directory", "sidecar-directory"])
     def test_unreadable_x_frame_counts_as_missing(self, bench_dir, tmp_path, damage):
         import shutil
 
@@ -271,26 +292,27 @@ class TestRun:
     def test_unreadable_rgb_frame_fails_only_itself(self, bench_dir, tmp_path):
         import shutil
 
+        damages = {
+            "truncated": lambda v: v.write_bytes(v.read_bytes()[: len(v.read_bytes()) // 2]),
+            "directory": lambda v: v.unlink() or v.mkdir(),
+            "absent": lambda v: v.unlink(),
+        }
         runs = {}
-        for case in ("truncated", "absent"):
+        for case, damage in damages.items():
             inp = tmp_path / case
             shutil.copytree(bench_dir, inp)
-            victim = inp / "rgb" / "0002.png"
-            if case == "truncated":
-                blob = victim.read_bytes()
-                victim.write_bytes(blob[: len(blob) // 2])
-            else:
-                victim.unlink()
-            runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}"))
-        truncated = {f.frame: f for f in runs["truncated"].frames}
-        absent = {f.frame: f for f in runs["absent"].frames}
-        assert sorted(truncated) == [f"{n:04d}" for n in range(6)]
-        bad = truncated.pop("0002")
-        assert bad.status == "failed" and not bad.outputs
-        assert any("unreadable RGB frame" in w for w in bad.warnings)
-        assert sorted(truncated) == sorted(absent)
-        for fid, rec in truncated.items():
-            assert rec.status != "failed" and rec.outputs == absent[fid].outputs, fid
+            damage(inp / "rgb" / "0002.png")
+            frames = run_pipeline(fast_config(inp, tmp_path / f"out-{case}")).frames
+            runs[case] = {f.frame: f for f in frames}
+        absent = runs.pop("absent")
+        for case, got in runs.items():
+            assert sorted(got) == [f"{n:04d}" for n in range(6)], case
+            bad = got.pop("0002")
+            assert bad.status == "failed" and not bad.outputs, case
+            assert any("unreadable RGB frame" in w for w in bad.warnings), case
+            assert sorted(got) == sorted(absent), case
+            for fid, rec in got.items():
+                assert rec.status != "failed" and rec.outputs == absent[fid].outputs, (case, fid)
 
     def test_too_few_confident_matches_fall_back(self, tmp_path):
         """A match set with 3 non-zero confidences costs its frame the
@@ -368,7 +390,7 @@ class TestEvaluate:
         with pytest.raises(PipelineError):
             run_pipeline(fast_config(extra, tmp_path / "out"))
         (tmp_path / "run" / "x_final").mkdir(parents=True)
-        save_image(load_image(bench_dir / "x_gt" / "0000.png"), tmp_path / "run" / "x_final" / "0099.png")
+        save_image(load_image(bench_dir / "x_raw" / "0000.png"), tmp_path / "run" / "x_final" / "0099.png")
         with pytest.raises(PipelineError):
             evaluate_run(bench_dir, tmp_path / "run")
 
@@ -574,6 +596,33 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
+
+    @pytest.mark.parametrize("name_format", ["{idx}.png", "{frame:d}.png", "{0}.png", "{frame"])
+    def test_export_rejects_bad_name_format(self, tmp_path, capsys, name_format):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        RunManifest({"input_dir": str(tmp_path), "output_dir": str(run_dir)},
+                    [FrameRecord("0000", status="ok")]).write(run_dir / "manifest.json")
+        model_dir = minimal_colmap(tmp_path, ["0000.png"])
+        code = cli_main(["export", "--run", str(run_dir), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp"), "--name-format", name_format])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(name_format) in err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("config", ["{not json", '{"seed": 1, "frames": "two"}'],
+                             ids=["not-json", "bad-value"])
+    def test_bad_scene_config_reported(self, bench_dir, tmp_path, capsys, config):
+        import shutil
+
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bench_dir, bundle)
+        _edit_scene_config(bundle, lambda _: config)
+        for args in (["run", "--out", str(tmp_path / "run")], ["eval", "--run", str(tmp_path / "run")]):
+            assert cli_main([*args, "--input", str(bundle)]) == 2, args[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bundle / "gt" / "scene.npz") in err, args[0]
 
 
 def test_manifest_failed_count():

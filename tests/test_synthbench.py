@@ -32,6 +32,15 @@ from rgbxalign.synthbench import (
 )
 
 
+def layer_homographies(bundle, frame):
+    """RGB-frame -> X-frame homography of each layer for one frame."""
+    out = []
+    for l in range(bundle.cfg.layers):
+        h = bundle.maps_x[frame][l] @ np.linalg.inv(bundle.maps_rgb[frame][l])
+        out.append(h / h[2, 2])
+    return out
+
+
 def with_value_noise(img, sigma, seed=0):
     rng = np.random.default_rng(seed)
     return Image(np.clip(img.data + rng.normal(0.0, sigma, img.data.shape), 0.0, 1.0), units=img.units)
@@ -139,7 +148,7 @@ class TestGeneration:
         bundle = gen_sequence(SceneConfig(seed=5, size=96, frames=2, layers=1,
                                           layer_disparities=(0.0,)))
         coords, _ = bundle.correspondence(0, 0)
-        h = bundle.layer_homographies(0)[0]
+        h = layer_homographies(bundle, 0)[0]
         rows, cols = np.meshgrid(np.arange(96), np.arange(96), indexing="ij")
         pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(float)
         hom = np.column_stack([pts, np.ones(len(pts))])
@@ -392,7 +401,20 @@ class TestPersistence:
                 assert g.dtype == w.dtype and g.shape == w.shape, name
                 assert np.array_equal(g, w), name
         assert (tmp_path / "b" / "rgb" / "0000.png").exists()
-        assert (tmp_path / "b" / "gt" / "homographies.txt").exists()
+        assert [p.name for p in (tmp_path / "b" / "gt").iterdir()] == ["scene.npz"]
+        assert not (tmp_path / "b" / "x_gt").exists()
+
+    def test_files_of_older_versions_ignored(self, tmp_path):
+        bundle = gen_sequence(SceneConfig(seed=17, size=64, frames=2))
+        save_bundle(bundle, tmp_path / "b")
+        (tmp_path / "b" / "gt" / "meta").write_text("{not json")
+        (tmp_path / "b" / "gt" / "homographies.txt").write_text("garbage\n")
+        (tmp_path / "b" / "x_gt").mkdir()
+        (tmp_path / "b" / "x_gt" / "0000.png").write_bytes(b"garbage")
+        again = load_bundle(tmp_path / "b")
+        assert again.cfg == bundle.cfg
+        for w, g in zip(field_arrays(bundle, "x_gt"), field_arrays(again, "x_gt")):
+            assert np.array_equal(g, w)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         cfg = SceneConfig(seed=3, size=64, frames=2, corrupt_patch_fraction=0.1)
@@ -421,13 +443,6 @@ class TestPersistence:
         save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
         (tmp_path / "b" / "gt" / "scene.npz").unlink()
         with pytest.raises(RgbxError, match="rgbxalign synth"):
-            load_bundle(tmp_path / "b")
-
-    def test_config_disagreeing_with_meta_rejected(self, tmp_path):
-        save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
-        meta = tmp_path / "b" / "gt" / "meta"
-        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), seed=18)))
-        with pytest.raises(RgbxError, match="disagrees with gt/meta"):
             load_bundle(tmp_path / "b")
 
     def test_scene_file_of_another_shape_rejected(self, tmp_path):
@@ -462,20 +477,17 @@ class TestPersistence:
 
     def test_meta_with_unknown_keys_rejected(self, tmp_path):
         save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=2)), tmp_path / "b")
-        meta = tmp_path / "b" / "gt" / "meta"
-        raw = json.loads(meta.read_text())
+        scene = tmp_path / "b" / "gt" / "scene.npz"
+        with np.load(scene) as npz:
+            members = {k: npz[k] for k in npz.files}
+        raw = json.loads(str(members["config"]))
         raw["sensor_jitter"] = 0.6  # a field of bundles written by older versions
-        meta.write_text(json.dumps(raw))
-        with pytest.raises(RgbxError, match="sensor_jitter"):
+        for config, match in ((json.dumps(raw), "sensor_jitter"), ("{not json", "scene file"),
+                              ("[1, 2]", "not a JSON object")):
+            np.savez(scene, **dict(members, config=np.array(config)))
+            with pytest.raises(RgbxError, match=match):
+                load_bundle(tmp_path / "b")
+        del members["config"]
+        np.savez(scene, **members)
+        with pytest.raises(RgbxError, match="scene config"):
             load_bundle(tmp_path / "b")
-
-    def test_homography_file_layout(self, tmp_path):
-        bundle = gen_sequence(SceneConfig(seed=17, size=64, frames=2))
-        save_bundle(bundle, tmp_path / "b")
-        lines = [l for l in (tmp_path / "b" / "gt" / "homographies.txt").read_text().splitlines()
-                 if l and not l.startswith("#")]
-        assert len(lines) == 2 * bundle.cfg.layers
-        first = lines[0].split()
-        assert len(first) == 11  # frame, layer, 9 entries
-        h = np.array([float(v) for v in first[2:]]).reshape(3, 3)
-        assert np.abs(h - bundle.layer_homographies(0)[0]).max() < 1e-12
