@@ -13,7 +13,7 @@ import numpy as np
 from . import fuse_filter
 from .colmap import parse_colmap_model
 from .densify import DensifyConfig, compute_affinities, densify_multilevel
-from .errors import PipelineError, RgbxError
+from .errors import FilterError, PipelineError, RgbxError
 from .imgcore import Image, load_image, save_image
 from .matching import ClassicalBackend, accumulate_matches, load_matchset, save_matchset
 from .pipeline import PipelineConfig, RunManifest, evaluate_run, export_dataset, run_pipeline
@@ -175,7 +175,7 @@ def _add_densify(sub: argparse._SubParsersAction) -> None:
 def _cmd_densify(args: argparse.Namespace) -> int:
     rgb = load_image(args.rgb)
     ms = load_matchset(args.matches)
-    sparse, conf = accumulate_matches([ms], [load_image(args.x)], ms.rgb_frame, rgb.shape)
+    sparse, conf = accumulate_matches([ms], [load_image(args.x)], rgb.shape)
     certainty: dict[float, float] = {}
     levels = densify_multilevel(compute_affinities(rgb), sparse, conf, DensifyConfig(), certainty)
     fused = fuse_filter.fuse_levels(fuse_filter.enhance(list(levels.values()), rgb),
@@ -196,18 +196,20 @@ def _add_filter(sub: argparse._SubParsersAction) -> None:
 def _cmd_filter(args: argparse.Namespace) -> int:
     rgb = load_image(args.rgb)
     xd = load_image(args.xd)
-    grid = fuse_filter.PatchGrid(xd.shape[0], xd.shape[1])
+    if xd.shape != rgb.shape:
+        raise FilterError(f"--xd is {xd.height}x{xd.width}, --rgb {rgb.height}x{rgb.width}")
     sim = fuse_filter.similarity_matrix(
-        fuse_filter.patch_descriptors(rgb, grid), fuse_filter.patch_descriptors(xd, grid)
+        fuse_filter.patch_descriptors(rgb), fuse_filter.patch_descriptors(xd)
     )
     score = fuse_filter.self_match_score(sim)
-    result = fuse_filter.concentration_and_filter(xd, sim, grid)
+    result = fuse_filter.concentration_and_filter(xd, sim)
     save_image(Image((~result.sparse.known).astype(np.float64)),
                Path(args.out_prefix + "_rejected.png"), bit_depth=8)
-    save_image(Image(result.sparse.to_float_raster(void_value=0.0)),
+    save_image(Image(result.sparse.to_float_raster(void_value=0.0), units=xd.units),
                Path(args.out_prefix + "_filtered.png"), bit_depth=16)
+    rejected = result.rejected_patches
     print(f"q={result.q:.4f} theta={result.threshold:.4f} "
-          f"rejected={int(result.rejected_patches.sum())}/{grid.patches} lsim={score:.4f}")
+          f"rejected={int(rejected.sum())}/{rejected.size} lsim={score:.4f}")
     return 0
 
 

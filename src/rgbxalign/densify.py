@@ -90,25 +90,14 @@ class AffinityField:
     into a zeroed sum in offset order at every pixel p, as the reference
     recurrence does. `stride` is W unless the raster is narrower than the
     offsets' column span; there it is widened with zero columns so that
-    distinct offsets keep distinct diagonals. `weights` is rebuilt from the
-    operator on each access.
+    distinct offsets keep distinct diagonals. The field is built in the
+    buffer of `weights` when that is a writable C-contiguous float64 array,
+    which it overwrites, so no second (K, H, W) copy is held; a caller that
+    needs the weights afterwards passes a copy.
     """
 
     def __init__(self, weights: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> None:
-        self._build(np.array(weights, dtype=np.float64), offsets)
-
-    @classmethod
-    def _adopt(cls, weights: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> AffinityField:
-        """The field of float64 `weights`, built in their buffer, which is overwritten.
-
-        For a caller that drops `weights` afterwards: no second (K, H, W)
-        copy is held while the field is built.
-        """
-        field = cls.__new__(cls)
-        field._build(weights, offsets)
-        return field
-
-    def _build(self, w: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> None:
+        w = np.require(weights, np.float64, "CW")
         if w.ndim != 3 or w.shape[0] != len(offsets):
             raise ValueError("weights must be (K, H, W) matching offsets")
         if not np.all(np.isfinite(w)) or w.min() < 0.0:
@@ -141,17 +130,6 @@ class AffinityField:
             row[cols.stop :] = 0.0
         data.flags.writeable = False
         self.operator = dia_array((data, flat_offsets), shape=(size, size))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The (K, H, W) weights, rebuilt from the operator."""
-        data = self.operator.data
-        size = data.shape[1]
-        flat = np.zeros_like(data)
-        for row, diagonal, offset in zip(flat, data, self.operator.offsets):
-            cols, pixels = _diagonal_span(int(offset), size)
-            row[pixels] = diagonal[cols]
-        return np.ascontiguousarray(self.raster(flat))
 
     def flatten(self, raster: np.ndarray) -> np.ndarray:
         """An (H, W) raster as a new flat vector in the operator's pixel order."""
@@ -192,7 +170,12 @@ def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
 
 
 def compute_affinities(rgb: Image) -> AffinityField:
-    """Joint-bilateral guidance weights from the RGB image.
+    """The AffinityField of the RGB image's `_guidance_weights`."""
+    return AffinityField(_guidance_weights(rgb), OFFSETS)
+
+
+def _guidance_weights(rgb: Image) -> np.ndarray:
+    """Joint-bilateral guidance weights (K, H, W) from the RGB image, paired with OFFSETS.
 
     Raw weight for offset (a, b) at radius r in RADII:
         exp(-(g(p) - g(p + (r*a, r*b)))^2 / (2 SIGMA_COLOR^2))
@@ -221,7 +204,7 @@ def compute_affinities(rgb: Image) -> AffinityField:
     if total.min() <= 0.0:
         raise DensifyError("pixel with no in-bounds neighbor")
     weights /= total
-    return AffinityField._adopt(weights, OFFSETS)
+    return weights
 
 
 # The anchor scan visits offsets out to this radius. It stops at the first
@@ -354,7 +337,7 @@ def init_dense(sparse: SparseMap) -> Image:
     out = np.array(sparse.values, dtype=np.float64)
     void = ~known
     if not void.any():
-        return Image(out)
+        return Image(out, units=sparse.units)
     void_coords = np.argwhere(void)
     k = min(4, n_known)
     scanned = _scan_anchors(sparse, void_coords, k)
@@ -365,7 +348,7 @@ def init_dense(sparse: SparseMap) -> Image:
         if pending.size:
             d2[:, pending], vals[:, pending] = _tree_anchors(sparse, void_coords[pending], k)
     out[void] = _idw(d2, vals)
-    return Image(out)
+    return Image(out, units=sparse.units)
 
 
 def propagate(
@@ -432,7 +415,7 @@ def threshold_sparse(
     keep = sparse.known & (conf.conf >= delta)
     values = np.where(keep, sparse.values, 0.0)
     counts = np.where(keep, sparse.counts, 0)
-    return SparseMap(values, counts), ConfidenceMap(np.where(keep, conf.conf, 0.0))
+    return SparseMap(values, counts, sparse.units), ConfidenceMap(np.where(keep, conf.conf, 0.0))
 
 
 def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig) -> Image:

@@ -296,8 +296,8 @@ def _cell_spans(length: int, spans: list[slice]) -> tuple[np.ndarray, np.ndarray
     return patch, sub
 
 
-def patch_descriptors(img: Image, grid: PatchGrid) -> FeatureMatrix:
-    """Per-patch 4x4-cell, 8-bin gradient-orientation histograms.
+def patch_descriptors(img: Image) -> FeatureMatrix:
+    """Per-patch 4x4-cell, 8-bin gradient-orientation histograms on the image's PatchGrid.
 
     Orientations are taken mod pi, so inverting an image's contrast leaves
     its descriptors unchanged. Votes are square-root-saturated gradient
@@ -309,9 +309,8 @@ def patch_descriptors(img: Image, grid: PatchGrid) -> FeatureMatrix:
     concatenation is L2-normalized; an entirely voteless patch maps to the
     uniform unit vector.
     """
+    grid = PatchGrid(*img.shape)
     gray = gray_array(img)
-    if gray.shape != (grid.height, grid.width):
-        raise FilterError("grid does not match image dimensions")
     gy, gx = np.gradient(gray)
     mag = np.hypot(gx, gy)
     mean_mag = float(mag.mean())
@@ -428,19 +427,18 @@ class FilterResult:
     rejected_patches: np.ndarray  # (P,) bool
 
 
-def concentration_and_filter(xd: Image, a: SimilarityMatrix, grid: PatchGrid) -> FilterResult:
-    """Reject low-self-similarity patches of a densified image.
+def concentration_and_filter(xd: Image, a: SimilarityMatrix) -> FilterResult:
+    """Reject low-self-similarity patches of a densified image, on its PatchGrid.
 
     The diagonal's concentration q = Q50/Q99 sets the rejection budget: the
     (1-q)-quantile of the diagonal becomes the threshold, patches strictly
     below it are voided, and survivors carry their min-max-normalized
     diagonal score as per-pixel confidence for re-densification.
     """
+    grid = PatchGrid(*xd.shape)
     mat = a.a
     if mat.shape[0] != mat.shape[1] or mat.shape[0] != grid.patches:
         raise FilterError("similarity matrix does not match the patch grid")
-    if xd.shape != (grid.height, grid.width):
-        raise FilterError("image does not match the patch grid")
     d = np.diag(mat).astype(np.float64)
     q99 = quantile(d, 0.99)
     degenerate = q99 <= 0.0
@@ -468,7 +466,7 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix, grid: PatchGrid) ->
             counts[rs, cs] = 1
             conf[rs, cs] = patch_conf[index]
     return FilterResult(
-        sparse=SparseMap(values, counts),
+        sparse=SparseMap(values, counts, xd.units),
         conf=ConfidenceMap(np.clip(conf, 0.0, 1.0)),
         q=q,
         threshold=float(theta),

@@ -80,17 +80,22 @@ class SparseMap:
 
     A pixel is void iff counts == 0; its value entry is meaningless then.
     External float serializations render void pixels as -1, but the in-memory
-    sentinel is the count so that -1 stays a legal physical value.
+    sentinel is the count so that -1 stays a legal physical value. `units`
+    tags the values as an Image's does, and passes on to the dense rasters
+    made from them.
     """
 
     values: np.ndarray
     counts: np.ndarray
+    units: str = UNITS_NORMALIZED
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.int64)
         if values.ndim != 2 or counts.shape != values.shape:
             raise ValueError("values and counts must be matching 2-D arrays")
+        if self.units not in _VALID_UNITS:
+            raise ValueError(f"unknown units tag {self.units!r}")
         if np.any(counts < 0):
             raise ValueError("negative accumulation count")
         known = counts > 0

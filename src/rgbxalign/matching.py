@@ -287,28 +287,31 @@ class ClassicalBackend:
 def accumulate_matches(
     sets: list[MatchSet],
     x_frames: list[Image],
-    target_frame: str,
     out_shape: tuple[int, int],
 ) -> tuple[SparseMap, ConfidenceMap]:
     """Stack matched X values from a window of frames onto the RGB pixel grid.
 
-    Each match contributes the bilinearly sampled X value at its X-frame
-    coordinate to the nearest integer pixel of its RGB-frame coordinate.
-    Pixels average their contributions (values and confidences alike,
-    confidence clipped to [0, 1] after the mean); pixels with no contributor
-    are void.
+    Every set must target the same RGB frame. Each match contributes the
+    bilinearly sampled X value at its X-frame coordinate to the nearest
+    integer pixel of its RGB-frame coordinate. Pixels average their
+    contributions (values and confidences alike, confidence clipped to
+    [0, 1] after the mean); pixels with no contributor are void. The map
+    takes the X frames' units, which must agree.
     """
     if len(sets) != len(x_frames):
         raise MatchingError("one X frame required per match set")
+    targets = sorted({ms.rgb_frame for ms in sets})
+    if len(targets) > 1:
+        raise MatchingError(f"match sets target more than one RGB frame: {targets}")
+    units = {x_img.units for x_img in x_frames}
+    if len(units) > 1:
+        named = ", ".join(f"{ms.x_frame} {x_img.units}" for ms, x_img in zip(sets, x_frames))
+        raise MatchingError(f"X frames disagree on units ({named})")
     height, width = out_shape
     vsum = np.zeros(out_shape)
     csum = np.zeros(out_shape)
     count = np.zeros(out_shape, dtype=np.int64)
     for ms, x_img in zip(sets, x_frames):
-        if ms.rgb_frame != target_frame:
-            raise MatchingError(
-                f"match set targets frame {ms.rgb_frame!r}, expected {target_frame!r}"
-            )
         if x_img.channels != 1:
             raise MatchingError("X frames must be single-channel")
         if len(ms) == 0:
@@ -328,7 +331,7 @@ def accumulate_matches(
     np.divide(vsum, count, out=values, where=known)
     np.divide(csum, count, out=conf, where=known)
     conf = np.clip(conf, 0.0, 1.0)
-    return SparseMap(values, count), ConfidenceMap(conf)
+    return SparseMap(values, count, *units), ConfidenceMap(conf)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +582,8 @@ def load_matchset(path: str | Path) -> MatchSet:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise MatchingError(f"{path}: not a text file ({exc})") from exc
+    except OSError as exc:
+        raise MatchingError(f"{path}: cannot read ({exc})") from exc
     if len(lines) < 2:
         raise MatchingError(f"{path}: truncated match file")
     ids = lines[0].split()

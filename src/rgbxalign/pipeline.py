@@ -191,10 +191,8 @@ class _OracleAdapter:
         self.index = {fid: n for n, fid in enumerate(bundle.frame_ids)}
 
     def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
-        i = self.index[rgb_frame]
-        j = self.index[x_frame]
-        ms = oracle_match(self.bundle, (i, j), self.noise, self.count, seed=self.seed)
-        return MatchSet(rgb_frame, x_frame, ms.p_rgb, ms.p_x, ms.conf)
+        pair = self.index[rgb_frame], self.index[x_frame]
+        return oracle_match(self.bundle, pair, self.noise, self.count, seed=self.seed)
 
 
 class _FileAdapter:
@@ -210,6 +208,7 @@ class _FileAdapter:
                 rgb_frame, x_frame, np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
                 warnings=(f"no match file {path.name}",),
             )
+        # `rgbxalign match` writes the header "0 0"; the file name names the frames
         ms = load_matchset(path)
         return MatchSet(rgb_frame, x_frame, ms.p_rgb, ms.p_x, ms.conf)
 
@@ -319,7 +318,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     sets = [ctx.backend.match_pair(rgb, ctx.x[m], fid, m) for m in window]
     for ms in sets:
         rec.warnings.extend(ms.warnings)
-    sparse, conf = accumulate_matches(sets, [ctx.x[m] for m in window], fid, shape)
+    sparse, conf = accumulate_matches(sets, [ctx.x[m] for m in window], shape)
 
     # homography warp of the synchronous X frame, or of the window's middle
     # one when it is missing (area-sampling source and the last fallback
@@ -370,21 +369,18 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     x_final = fused
     if cfg.enable_filtering:
         try:
-            grid = fuse_filter.PatchGrid(shape[0], shape[1])
-            f_rgb = fuse_filter.patch_descriptors(rgb, grid)
-            f_x = fuse_filter.patch_descriptors(fused, grid)
-            sim = fuse_filter.similarity_matrix(f_rgb, f_x)
+            f_rgb = fuse_filter.patch_descriptors(rgb)
+            sim = fuse_filter.similarity_matrix(f_rgb, fuse_filter.patch_descriptors(fused))
             rec.lsim_before = fuse_filter.self_match_score(sim)
-            result = fuse_filter.concentration_and_filter(fused, sim, grid)
+            result = fuse_filter.concentration_and_filter(fused, sim)
             rec.q = result.q
             rec.threshold = result.threshold
             rec.rejected = int(result.rejected_patches.sum())
             if result.degenerate:
                 rec.warnings.append("self-match degenerate; nothing rejected")
             x_final = fuse_filter.fine_densify(aff, result.sparse, result.conf, cfg.densify)
-            f_after = fuse_filter.patch_descriptors(x_final, grid)
             rec.lsim_after = fuse_filter.self_match_score(
-                fuse_filter.similarity_matrix(f_rgb, f_after)
+                fuse_filter.similarity_matrix(f_rgb, fuse_filter.patch_descriptors(x_final))
             )
         except RgbxError as exc:
             rec.status = "fallback"
@@ -405,7 +401,7 @@ def _area_mask_for(ctx: _RunContext, fid: str, shape: tuple[int, int]) -> Mask |
     except ImageIOError as exc:
         return f"area mask unreadable ({exc})"
     if img.shape != shape:
-        return "no area mask available"
+        return f"area mask is {img.height}x{img.width}, the frame {shape[0]}x{shape[1]}"
     return Mask(img.data > 0.5 if img.channels == 1 else img.data[:, :, 0] > 0.5)
 
 
@@ -494,10 +490,8 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
         fm.psnr = metrics.psnr(img, gt)
         fm.ssim = metrics.ssim(img, gt)
         fm.mae, fm.rmse = metrics.mae_rmse(img, gt)
-        grid = fuse_filter.PatchGrid(img.shape[0], img.shape[1])
         sim = fuse_filter.similarity_matrix(
-            fuse_filter.patch_descriptors(bundle.rgb[idx], grid),
-            fuse_filter.patch_descriptors(img, grid),
+            fuse_filter.patch_descriptors(bundle.rgb[idx]), fuse_filter.patch_descriptors(img)
         )
         fm.diag = tuple(metrics.diag_percentiles(sim))
         fm.self_match = fuse_filter.self_match_score(sim)
@@ -548,6 +542,7 @@ def export_dataset(
                 raise PipelineError(f"frame {rec.frame}: output {path} differs from the manifest")
 
     by_name = model.by_name()
+    rgb_sources = _frame_paths(input_dir / "rgb")
     mapping = {}
     warnings = []
     no_rgb = 0
@@ -559,9 +554,9 @@ def export_dataset(
         if name not in by_name:
             warnings.append(f"frame {rec.frame}: no pose for {name}")
             continue
-        rgb_src = input_dir / "rgb" / f"{rec.frame}.png"
-        if not rgb_src.exists():
-            warnings.append(f"frame {rec.frame}: missing RGB source {rgb_src}")
+        rgb_src = rgb_sources.get(rec.frame)
+        if rgb_src is None:
+            warnings.append(f"frame {rec.frame}: missing RGB source in {input_dir / 'rgb'}")
             no_rgb += 1
             continue
         # made with the first copy, so an export that exports nothing leaves nothing

@@ -56,4 +56,4 @@ def area_sample(
     values[rows, cols] = warped_x.data[rows, cols]
     counts[rows, cols] = 1
     confidence[rows, cols] = FIXED_CONF
-    return SparseMap(values, counts), ConfidenceMap(confidence)
+    return SparseMap(values, counts, sparse.units), ConfidenceMap(confidence)

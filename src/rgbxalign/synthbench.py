@@ -730,11 +730,13 @@ def oracle_match(
     pixels from the truth, so perfect-fidelity confidence separates them.
     Confidence follows a logistic correctness margin blended with seeded
     uniform noise: rho = 1 reports the margin exactly, smaller rho degrades
-    the correlation between confidence and correctness.
+    the correlation between confidence and correctness. The set is named
+    by the pair's `frame_ids`.
     """
     i, j = pair
     if not (0 <= i < bundle.frames and 0 <= j < bundle.frames):
         raise ValueError(f"frame pair {pair} out of range")
+    rgb_frame, x_frame = bundle.frame_ids[i], bundle.frame_ids[j]
     rng = np.random.default_rng(np.random.SeedSequence((0x0AC1E, bundle.cfg.seed, i, j, seed)))
     coords, valid = bundle.correspondence(i, j)
     eligible = valid.copy()
@@ -742,7 +744,7 @@ def oracle_match(
         eligible &= ~bundle.area_masks[i].bits
     candidates = np.argwhere(eligible)
     if len(candidates) == 0:
-        return MatchSet(str(i), str(j), np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
+        return MatchSet(rgb_frame, x_frame, np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
     k = min(count, len(candidates))
     chosen = candidates[rng.choice(len(candidates), size=k, replace=False)]
     p_rgb = chosen.astype(np.float64)
@@ -773,7 +775,7 @@ def oracle_match(
     confident_wrong = rng.random(k) < 0.9 * (1.0 - noise.rho)
     mult = np.where(confident_wrong, rng.uniform(0.2, 0.45, size=k), mult)
     conf = np.clip(1.0 - (1.0 - margin) * mult, 0.0, 1.0)
-    return MatchSet(str(i), str(j), p_rgb, p_x, conf)
+    return MatchSet(rgb_frame, x_frame, p_rgb, p_x, conf)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. The benchmark-trend criteria average 5 seeded trials each; the whole
 module takes about 4½ minutes single-threaded (266 s on a 2-vCPU VM, most
-of it in criteria 3 and 4).
+of it in criteria 3 and 4). Every test here carries the `acceptance`
+marker, so `pytest -m "not acceptance"` runs the rest of the suite alone.
 """
 
 import time
@@ -13,7 +14,10 @@ import pytest
 
 from rgbxalign import fuse_filter
 from rgbxalign.densify import (
+    OFFSETS,
+    AffinityField,
     DensifyConfig,
+    _guidance_weights,
     compute_affinities,
     init_dense,
     propagate,
@@ -41,6 +45,8 @@ from rgbxalign.synthbench import (
 from .test_densify import reference_recurrence
 from .test_fuse_filter import brute_force_filter
 from .test_matching import brute_force_accumulate, project, random_matchsets
+
+pytestmark = pytest.mark.acceptance
 
 # the ablation-trend scenario: confidence-correlated noise on default scenes
 TREND_NOISE = dict(oracle_sigma=0.5, oracle_outliers=0.3, oracle_rho=0.8)
@@ -82,7 +88,7 @@ def test_criterion_01_accumulation_oracle_equivalence(rng):
         n_sets = int(rng.integers(1, 8))
         n_matches = int(rng.integers(1, 10_000 // n_sets))
         sets, frames = random_matchsets(rng, n_sets, n_matches, shape)
-        sp, cf = accumulate_matches(sets, frames, "t", shape)
+        sp, cf = accumulate_matches(sets, frames, shape)
         values, count, conf = brute_force_accumulate(sets, frames, shape)
         assert np.array_equal(sp.counts, count)
         assert np.array_equal(sp.values[count > 0], values[count > 0])
@@ -109,9 +115,10 @@ def test_criterion_02_anchoring_and_degeneration(rng):
         if counts.sum() == 0:
             counts[0, 0] = 1
         sp = SparseMap(rng.random((16, 16)) * counts, counts)
-        aff = compute_affinities(Image(rng.random((16, 16, 3))))
+        weights = _guidance_weights(Image(rng.random((16, 16, 3))))
+        aff = AffinityField(weights.copy(), OFFSETS)
         mine = propagate(init_dense(sp), aff, sp, ConfidenceMap(np.ones((16, 16))), cfg)
-        ref = reference_recurrence(init_dense(sp).data, aff,
+        ref = reference_recurrence(init_dense(sp).data, weights,
                                    np.where(sp.known, sp.values, 0.0),
                                    sp.known.astype(np.float64), 4)
         assert np.array_equal(mine.data, ref)
@@ -173,14 +180,14 @@ def test_criterion_05_self_matching_filter(workdir):
         for n in (1, 2):
             fused = load_image(out / "x_final" / f"{n:04d}.png")
             corrupted = corrupt_with_mask(fused, bundle.corruption_masks[n], seed=seed * 10 + n)
-            grid = fuse_filter.PatchGrid(*bundle.shape)
             sim = fuse_filter.similarity_matrix(
-                fuse_filter.patch_descriptors(bundle.rgb[n], grid),
-                fuse_filter.patch_descriptors(corrupted, grid),
+                fuse_filter.patch_descriptors(bundle.rgb[n]),
+                fuse_filter.patch_descriptors(corrupted),
             )
-            res = fuse_filter.concentration_and_filter(corrupted, sim, grid)
+            res = fuse_filter.concentration_and_filter(corrupted, sim)
             fine = fuse_filter.fine_densify(compute_affinities(bundle.rgb[n]), res.sparse, res.conf,
                                             DensifyConfig())
+            grid = fuse_filter.PatchGrid(*bundle.shape)
             bad = np.array([bundle.corruption_masks[n].bits[grid.bounds(i)].mean() > 0.5
                             for i in range(grid.patches)])
             recalls.append(res.rejected_patches[bad].mean())
@@ -295,7 +302,7 @@ def test_criterion_10_quantile_filter_oracle(rng):
         p = grid.patches
         diag = rng.uniform(-2, 9.9, p)
         sim = fuse_filter.SimilarityMatrix(np.diag(diag), tau=0.1)
-        res = fuse_filter.concentration_and_filter(img, sim, grid)
+        res = fuse_filter.concentration_and_filter(img, sim)
         q, theta, rejected = brute_force_filter(diag)
         assert res.q == pytest.approx(q, abs=1e-12)
         if np.isfinite(theta):

@@ -8,6 +8,7 @@ from rgbxalign.densify import (
     OFFSETS,
     AffinityField,
     DensifyConfig,
+    _guidance_weights,
     compute_affinities,
     densify_multilevel,
     init_dense,
@@ -21,17 +22,17 @@ from rgbxalign.imgcore import ConfidenceMap, Image, SparseMap
 from rgbxalign.metrics import psnr
 
 
-def reference_recurrence(l0, aff, xm, anchor, iters):
-    """Separately coded scalar loop of the anchored-neighborhood recurrence."""
+def reference_recurrence(l0, weights, xm, anchor, iters):
+    """Separately coded scalar loop of the anchored-neighborhood recurrence,
+    on (K, H, W) weights paired with OFFSETS."""
     cur = l0.copy()
     height, width = cur.shape
-    weights = aff.weights
     for _ in range(iters):
         nxt = np.zeros_like(cur)
         for r in range(height):
             for c in range(width):
                 acc = 0.0
-                for k, (dr, dc) in enumerate(aff.offsets):
+                for k, (dr, dc) in enumerate(OFFSETS):
                     rr, cc = r + dr, c + dc
                     neighbor = cur[rr, cc] if 0 <= rr < height and 0 <= cc < width else 0.0
                     acc = acc + weights[k, r, c] * neighbor
@@ -50,13 +51,12 @@ def random_sparse(rng, shape, frac):
 
 class TestAffinities:
     def test_rows_sum_to_one(self, rng):
-        aff = compute_affinities(Image(rng.random((20, 20, 3))))
-        assert np.abs(aff.weights.sum(axis=0) - 1.0).max() < 1e-6
-        assert aff.weights.min() >= 0.0
+        weights = _guidance_weights(Image(rng.random((20, 20, 3))))
+        assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-6
+        assert weights.min() >= 0.0
 
     def test_constant_guidance_symmetric(self):
-        aff = compute_affinities(Image(np.full((16, 16, 3), 0.5)))
-        interior = aff.weights[:, 8, 8]
+        interior = _guidance_weights(Image(np.full((16, 16, 3), 0.5)))[:, 8, 8]
         for ring in range(3):
             w = interior[ring * 8 : (ring + 1) * 8]
             assert np.ptp(w) < 1e-12
@@ -64,30 +64,25 @@ class TestAffinities:
     def test_edge_blocks_diffusion(self):
         img = np.zeros((16, 16, 3))
         img[:, 8:] = 1.0
-        aff = compute_affinities(Image(img))
+        weights = _guidance_weights(Image(img))
         across = OFFSETS.index((0, 1))
         along = OFFSETS.index((1, 0))
         # at a pixel just left of the step, weight across < weight along
-        assert aff.weights[across, 8, 7] < aff.weights[along, 8, 7]
+        assert weights[across, 8, 7] < weights[along, 8, 7]
 
     def test_out_of_bounds_zero(self, rng):
-        aff = compute_affinities(Image(rng.random((10, 10, 3))))
+        weights = _guidance_weights(Image(rng.random((10, 10, 3))))
         up = OFFSETS.index((-1, 0))
-        assert aff.weights[up, 0, 5] == 0.0
+        assert weights[up, 0, 5] == 0.0
 
     @pytest.mark.parametrize("shape", [(3, 30), (30, 3)])
     def test_guide_thinner_than_largest_radius(self, rng, shape):
         # every radius-4 neighbor lies off the raster in the thin dimension
-        aff = compute_affinities(Image(rng.random((*shape, 3))))
-        assert np.abs(aff.weights.sum(axis=0) - 1.0).max() < 1e-6
+        weights = _guidance_weights(Image(rng.random((*shape, 3))))
+        assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-6
         for k, (dr, dc) in enumerate(OFFSETS):
             if abs(dr) >= shape[0] or abs(dc) >= shape[1]:
-                assert not aff.weights[k].any()
-
-    @pytest.mark.parametrize("shape", [(20, 20), (3, 30), (30, 3), (5, 7)])
-    def test_weights_round_trip(self, rng, shape):
-        w = compute_affinities(Image(rng.random((*shape, 3)))).weights
-        assert np.array_equal(AffinityField(w, OFFSETS).weights, w)
+                assert not weights[k].any()
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -252,11 +247,12 @@ class TestPropagate:
         # cm = 1 degenerates to the plain certainty recurrence
         for trial in range(5):
             sp = random_sparse(rng, (16, 16), 0.3)
-            aff = compute_affinities(Image(rng.random((16, 16, 3))))
+            weights = _guidance_weights(Image(rng.random((16, 16, 3))))
+            aff = AffinityField(weights.copy(), OFFSETS)
             cfg = DensifyConfig(iterations=4, tol=0.0)
             mine = propagate(init_dense(sp), aff, sp, ConfidenceMap(np.ones((16, 16))), cfg)
             xm = np.where(sp.known, sp.values, 0.0)
-            ref = reference_recurrence(init_dense(sp).data, aff, xm,
+            ref = reference_recurrence(init_dense(sp).data, weights, xm,
                                        sp.known.astype(np.float64), 4)
             assert np.array_equal(mine.data, ref)
 
@@ -267,14 +263,15 @@ class TestPropagate:
     def test_bitwise_vs_reference_on_thin_rasters(self, rng, shape, use_confidence):
         sp = random_sparse(rng, shape, 0.3)
         conf = ConfidenceMap(np.where(sp.known, rng.uniform(0.1, 1.0, shape), 0.0))
-        aff = compute_affinities(Image(rng.random((*shape, 3))))
+        weights = _guidance_weights(Image(rng.random((*shape, 3))))
+        aff = AffinityField(weights.copy(), OFFSETS)
         cfg = DensifyConfig(iterations=6, tol=0.0, use_confidence=use_confidence)
         mine = propagate(init_dense(sp), aff, sp, conf, cfg)
         anchor = sp.known.astype(np.float64)
         if use_confidence:
             anchor = anchor * conf.conf
-        ref = reference_recurrence(init_dense(sp).data, aff, np.where(sp.known, sp.values, 0.0),
-                                   anchor, 6)
+        ref = reference_recurrence(init_dense(sp).data, weights,
+                                   np.where(sp.known, sp.values, 0.0), anchor, 6)
         assert np.array_equal(mine.data, ref)
 
     def test_raster_shape_must_match_field(self, rng):
@@ -311,14 +308,11 @@ class TestPropagate:
         assert abs(out_soft.data[12, 12] - 0.5) < abs(out_hard.data[12, 12] - 0.5)
 
     def test_contraction_on_benchmark(self, small_bundle):
-        from rgbxalign.matching import MatchSet, accumulate_matches
+        from rgbxalign.matching import accumulate_matches
         from rgbxalign.synthbench import NoiseModel, oracle_match
 
         ms = oracle_match(small_bundle, (1, 1), NoiseModel(), 1200, seed=0)
-        sp, conf = accumulate_matches(
-            [MatchSet("t", "1", ms.p_rgb, ms.p_x, ms.conf)],
-            [small_bundle.x_raw[1]], "t", small_bundle.shape,
-        )
+        sp, conf = accumulate_matches([ms], [small_bundle.x_raw[1]], small_bundle.shape)
         cfg = DensifyConfig(tol=0.0)
         steps: list[float] = []
         propagate(init_dense(sp), compute_affinities(small_bundle.rgb[1]), sp,
@@ -327,15 +321,12 @@ class TestPropagate:
             assert steps[i + 1] <= steps[i] * 1.05 + 1e-12
 
     def test_monotone_improvement_over_init(self, small_bundle):
-        from rgbxalign.matching import MatchSet, accumulate_matches
+        from rgbxalign.matching import accumulate_matches
         from rgbxalign.synthbench import NoiseModel, oracle_match
 
         n = 3
         ms = oracle_match(small_bundle, (n, n), NoiseModel(), 4000, seed=2)
-        sp, conf = accumulate_matches(
-            [MatchSet("t", str(n), ms.p_rgb, ms.p_x, ms.conf)],
-            [small_bundle.x_raw[n]], "t", small_bundle.shape,
-        )
+        sp, conf = accumulate_matches([ms], [small_bundle.x_raw[n]], small_bundle.shape)
         gt = small_bundle.x_gt[n]
         l0 = init_dense(sp)
         cfg = DensifyConfig()

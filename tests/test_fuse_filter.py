@@ -187,6 +187,13 @@ class TestPatchGrid:
         with pytest.raises(FilterError):
             PatchGrid(20, 64)
 
+    def test_stages_take_the_grid_of_their_image(self):
+        with pytest.raises(FilterError, match="smaller than patch size"):
+            patch_descriptors(Image(np.zeros((64, 20))))
+        # a 96 x 96 image tiles into 9 patches, not 4
+        with pytest.raises(FilterError, match="patch grid"):
+            concentration_and_filter(Image(np.zeros((96, 96))), SimilarityMatrix(np.eye(4)))
+
 
 def normalize_cells_reference(hist, gates, patches):
     """Cell by cell and patch by patch, as patch_descriptors first did."""
@@ -224,24 +231,22 @@ class TestDescriptors:
 
     def test_identical_bitwise(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96)
-        assert np.array_equal(patch_descriptors(img, grid).mat, patch_descriptors(img, grid).mat)
+        assert np.array_equal(patch_descriptors(img).mat, patch_descriptors(img).mat)
 
     def test_contrast_inversion_invariant(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96)
-        a = patch_descriptors(img, grid).mat
-        b = patch_descriptors(Image(1.0 - img.data), grid).mat
+        a = patch_descriptors(img).mat
+        b = patch_descriptors(Image(1.0 - img.data)).mat
         assert np.abs(a - b).max() < 1e-6
 
     def test_constant_patch_uniform(self):
         img = Image(np.full((64, 64), 0.3))
-        mat = patch_descriptors(img, PatchGrid(64, 64)).mat
+        mat = patch_descriptors(img).mat
         assert np.allclose(mat, 1.0 / np.sqrt(mat.shape[1]))
 
     def test_rows_unit_norm(self, rng):
         img = Image(rng.random((96, 96, 3)))
-        mat = patch_descriptors(img, PatchGrid(96, 96)).mat
+        mat = patch_descriptors(img).mat
         assert np.abs(np.linalg.norm(mat, axis=1) - 1.0).max() < 1e-9
 
 
@@ -341,8 +346,7 @@ class TestConcentrationFilter:
 
     def test_constant_diagonal_rejects_nothing(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96)
-        res = concentration_and_filter(img, self.make_sim(np.full(9, 5.0)), grid)
+        res = concentration_and_filter(img, self.make_sim(np.full(9, 5.0)))
         assert res.q == 1.0
         assert not res.rejected_patches.any()
         assert res.sparse.num_known == 96 * 96
@@ -351,7 +355,7 @@ class TestConcentrationFilter:
         img = smooth_image(rng)
         grid = PatchGrid(96, 96)
         diag = np.array([8.0, 8.5, 9.0, 8.7, 8.9, 9.2, 8.6, 8.8, 1.0])
-        res = concentration_and_filter(img, self.make_sim(diag), grid)
+        res = concentration_and_filter(img, self.make_sim(diag))
         assert list(np.flatnonzero(res.rejected_patches)) == [8]
         rs, cs = grid.bounds(8)
         assert (~res.sparse.known[rs, cs]).all()
@@ -363,7 +367,7 @@ class TestConcentrationFilter:
         grid = PatchGrid(96, 96)
         for _ in range(100):
             diag = rng.uniform(-1, 9.9, grid.patches)
-            res = concentration_and_filter(img, self.make_sim(diag), grid)
+            res = concentration_and_filter(img, self.make_sim(diag))
             q, theta, rejected = brute_force_filter(diag)
             assert res.q == pytest.approx(q, abs=1e-12)
             if np.isfinite(theta):
@@ -374,15 +378,14 @@ class TestConcentrationFilter:
         img = smooth_image(rng)
         grid = PatchGrid(96, 96)
         diag = rng.uniform(0.5, 9.5, grid.patches)
-        res = concentration_and_filter(img, self.make_sim(diag), grid)
+        res = concentration_and_filter(img, self.make_sim(diag))
         if res.rejected_patches.any():
             worst_kept = diag[~res.rejected_patches].min()
             assert diag[res.rejected_patches].max() < worst_kept
 
     def test_degenerate_nonpositive(self, rng):
         img = smooth_image(rng)
-        grid = PatchGrid(96, 96)
-        res = concentration_and_filter(img, self.make_sim(-np.abs(rng.random(9))), grid)
+        res = concentration_and_filter(img, self.make_sim(-np.abs(rng.random(9))))
         assert res.degenerate
         assert not res.rejected_patches.any()
 
@@ -390,7 +393,7 @@ class TestConcentrationFilter:
         img = smooth_image(rng)
         grid = PatchGrid(96, 96)
         diag = rng.uniform(2.0, 9.0, grid.patches)
-        res = concentration_and_filter(img, self.make_sim(diag), grid)
+        res = concentration_and_filter(img, self.make_sim(diag))
         best = int(np.argmax(diag))
         rs, cs = grid.bounds(best)
         assert res.conf.conf[rs, cs].max() == pytest.approx(1.0)
@@ -407,7 +410,7 @@ class TestFineDensify:
         xd = small_bundle.x_gt[n]
         grid = PatchGrid(*xd.shape)
         sim = SimilarityMatrix(np.diag(np.full(grid.patches, 8.0)), tau=0.1)
-        res = concentration_and_filter(xd, sim, grid)
+        res = concentration_and_filter(xd, sim)
         assert not res.rejected_patches.any()
         out = fine_densify(compute_affinities(rgb), res.sparse, res.conf, DensifyConfig())
         assert np.mean(np.abs(out.data - xd.data)) < 0.02

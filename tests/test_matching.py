@@ -122,7 +122,7 @@ class TestAccumulate:
     def test_single_match(self):
         x = Image(np.full((16, 16), 0.7))
         ms = MatchSet("t", "0", np.array([[10.0, 10.0]]), np.array([[3.0, 3.0]]), np.array([0.9]))
-        sp, cf = accumulate_matches([ms], [x], "t", (16, 16))
+        sp, cf = accumulate_matches([ms], [x], (16, 16))
         assert sp.values[10, 10] == 0.7
         assert sp.counts[10, 10] == 1
         assert cf.conf[10, 10] == 0.9
@@ -134,20 +134,21 @@ class TestAccumulate:
         x1 = Image(np.full((8, 8), 0.2))
         m1 = MatchSet("t", "0", np.array([[4.0, 4.0]]), np.array([[2.0, 2.0]]), np.array([1.0]))
         m2 = MatchSet("t", "1", np.array([[4.2, 3.9]]), np.array([[5.0, 5.0]]), np.array([0.5]))
-        sp, cf = accumulate_matches([m1, m2], [x1, x2], "t", (8, 8))
+        sp, cf = accumulate_matches([m1, m2], [x1, x2], (8, 8))
         assert sp.values[4, 4] == pytest.approx(0.4)
         assert sp.counts[4, 4] == 2
         assert cf.conf[4, 4] == pytest.approx(0.75)
 
     def test_wrong_target_rejected(self):
-        ms = MatchSet("a", "0", np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]), np.array([1.0]))
-        with pytest.raises(MatchingError):
-            accumulate_matches([ms], [Image(np.zeros((4, 4)))], "b", (4, 4))
+        sets = [MatchSet(target, "0", np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]),
+                         np.array([1.0])) for target in ("a", "b")]
+        with pytest.raises(MatchingError, match="more than one RGB frame"):
+            accumulate_matches(sets, [Image(np.zeros((4, 4)))] * 2, (4, 4))
 
     def test_bitwise_vs_brute_force(self, rng):
         shape = (24, 24)
         sets, frames = random_matchsets(rng, 5, 150, shape)
-        sp, cf = accumulate_matches(sets, frames, "t", shape)
+        sp, cf = accumulate_matches(sets, frames, shape)
         values, count, conf = brute_force_accumulate(sets, frames, shape)
         assert np.array_equal(sp.counts, count)
         assert np.array_equal(sp.values[count > 0], values[count > 0])
@@ -159,10 +160,11 @@ class TestAccumulate:
         n = 2
         sets, frames = [], []
         for m in range(6):
-            ms = oracle_match(small_bundle, (n, m), NoiseModel(), 800, seed=5)
-            sets.append(MatchSet("t", str(m), ms.p_rgb, ms.p_x, ms.conf))
+            sets.append(oracle_match(small_bundle, (n, m), NoiseModel(), 800, seed=5))
             frames.append(small_bundle.x_raw[m])
-        sp, cf = accumulate_matches(sets, frames, "t", small_bundle.shape)
+        assert [(ms.rgb_frame, ms.x_frame) for ms in sets[:2]] == [("0002", "0000"),
+                                                                   ("0002", "0001")]
+        sp, cf = accumulate_matches(sets, frames, small_bundle.shape)
         known = sp.known
         gt = small_bundle.x_gt[n].data
         rmse = np.sqrt(np.mean((sp.values[known] - gt[known]) ** 2))

@@ -33,11 +33,20 @@ def _edit_scene_config(bundle, edit):
     np.savez(scene, **dict(members, config=np.array(edit(str(members["config"])))))
 
 
+def _edit_lines(edit):
+    """A damage of a file that changes its lines in place by `edit`."""
+    def damage(path):
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
 def _first_match_ending(field):
-    """An edit of a match file's lines that ends its first match in `field`."""
+    """A damage of a match file that ends its first match in `field`."""
     def edit(lines):
         lines[2] = " ".join(lines[2].split()[:4] + [field])
-    return edit
+    return _edit_lines(edit)
 
 
 @pytest.fixture(scope="module")
@@ -190,20 +199,14 @@ class TestRun:
             for m in range(max(0, n - 1), min(6, n + 2)):
                 ms = oracle_match(bundle, (n, m), NoiseModel(), 600, seed=3)
                 save_matchset(ms, inp / "matches" / f"{n:04d}_{m:04d}.txt")
-        # rewrite frame ids to the zero-padded stems the pipeline uses
-        for p in (inp / "matches").glob("*.txt"):
-            lines = p.read_text().splitlines()
-            a, b = p.stem.split("_")
-            lines[0] = f"{a} {b}"
-            p.write_text("\n".join(lines) + "\n")
         manifest = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=3))
         assert all(f.status in ("ok", "fallback") for f in manifest.frames)
 
     @staticmethod
-    def _bad_match_file_runs(bench_dir, tmp_path, edit):
-        """File-backend runs with the lines of 0002_0003.txt changed in place
-        by `edit`, and with that file absent: (bad, absent) frame records.
-        Only frame 0002's window uses the file."""
+    def _bad_match_file_runs(bench_dir, tmp_path, damage):
+        """File-backend runs with 0002_0003.txt changed by `damage` (of its
+        path), and with that file absent: (bad, absent) frame records. Only
+        frame 0002's window uses the file."""
         import shutil
 
         from rgbxalign.matching import save_matchset
@@ -218,13 +221,10 @@ class TestRun:
             for n, fid in enumerate(bundle.frame_ids):
                 for m in range(max(0, n - 1), min(bundle.frames, n + 2)):
                     ms = oracle_match(bundle, (n, m), NoiseModel(), 600, seed=3)
-                    ms = MatchSet(fid, f"{m:04d}", ms.p_rgb, ms.p_x, ms.conf)
                     save_matchset(ms, inp / "matches" / f"{fid}_{m:04d}.txt")
             bad = inp / "matches" / "0002_0003.txt"
             if case == "bad":
-                lines = bad.read_text().splitlines()
-                edit(lines)
-                bad.write_text("\n".join(lines) + "\n")
+                damage(bad)
             else:
                 bad.unlink()
             runs[case] = run_pipeline(fast_config(inp, tmp_path / f"out-{case}", backend="file",
@@ -243,12 +243,14 @@ class TestRun:
                 assert a.status != "failed" and a.outputs == b.outputs, a.frame
 
     def test_non_numeric_match_field_fails_only_its_frame(self, bench_dir, tmp_path):
-        for edit, warning in (
+        for damage, warning in (
             (_first_match_ending("abc"), "0002_0003.txt:3: non-numeric field"),
-            (lambda lines: lines.__setitem__(1, "-1"), "0002_0003.txt:2: negative match count"),
+            (_edit_lines(lambda lines: lines.__setitem__(1, "-1")),
+             "0002_0003.txt:2: negative match count"),
+            (lambda path: path.unlink() or path.mkdir(), "0002_0003.txt: cannot read"),
         ):
             out = tmp_path / warning.split()[-1]
-            bad, absent = self._bad_match_file_runs(bench_dir, out, edit)
+            bad, absent = self._bad_match_file_runs(bench_dir, out, damage)
             assert [f.frame for f in bad] == [f.frame for f in absent]
             assert bad[2].status == "failed" and not bad[2].outputs
             assert any(warning in w for w in bad[2].warnings), warning
@@ -337,6 +339,68 @@ class TestRun:
         warned = {f.frame: f.warnings for f in manifest.frames if f.warnings}
         assert list(warned) == ["0001"]
         assert any("homography estimation failed" in w for w in warned["0001"])
+
+    @pytest.mark.parametrize("backend", ["classical", "oracle"])
+    def test_physical_units_carried_to_the_output(self, tmp_path, backend):
+        """X frames in celsius come out in celsius, as the affine image of the
+        same run on the raw integers read as normalized values."""
+        import shutil
+
+        plain = tmp_path / "plain"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3)), plain)
+        celsius = tmp_path / "celsius"
+        shutil.copytree(plain, celsius)
+        for x in (celsius / "x_raw").glob("*.png"):
+            x.with_name(x.name + ".units").write_text("units celsius\nscale 0.001\noffset 10\n")
+        runs = {}
+        for inp in (plain, celsius):
+            out = tmp_path / f"out-{inp.name}"
+            frames = run_pipeline(fast_config(inp, out, backend=backend, window=3)).frames
+            assert [f.status for f in frames] == ["ok"] * 3, [f.warnings for f in frames]
+            runs[inp.name] = [load_image(out / next(iter(f.outputs))) for f in frames]
+        for a, b in zip(runs["plain"], runs["celsius"]):
+            assert (a.units, b.units) == ("normalized", "celsius")
+            # raw / 65535 against raw * 0.001 + 10, within a quantization step
+            assert np.abs(b.data - (65.535 * a.data + 10.0)).max() < 2e-3
+
+    def test_x_frames_disagreeing_on_units_fail_their_windows(self, tmp_path):
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=4)), inp)
+        (inp / "x_raw" / "0003.png.units").write_text("units celsius\nscale 0.001\noffset 10\n")
+        frames = run_pipeline(fast_config(inp, tmp_path / "out", window=3)).frames
+        assert [f.status for f in frames] == ["ok", "ok", "failed", "failed"]
+        assert "X frames disagree on units (0001 normalized, 0002 normalized, 0003 celsius)" in (
+            frames[2].warnings)
+
+    def test_fallback_ladder(self, tmp_path):
+        """On 24 x 48 frames, confident matches densify but cannot be filtered
+        (fused output); matches below every threshold cannot be densified
+        (homography-warp output). A mis-sized area mask is named as such."""
+        from rgbxalign.matching import save_matchset
+
+        inp = tmp_path / "in"
+        for sub in ("rgb", "x", "masks", "matches"):
+            (inp / sub).mkdir(parents=True)
+        rng = np.random.default_rng(0)
+        rows, cols = np.meshgrid(np.arange(2, 22, 3.0), np.arange(2, 46, 3.0), indexing="ij")
+        pts = np.column_stack([rows.ravel(), cols.ravel()])
+        for fid, conf in (("0000", 0.9), ("0001", 0.05)):
+            save_image(Image(rng.random((24, 48, 3))), inp / "rgb" / f"{fid}.png")
+            save_image(Image(rng.random((24, 48))), inp / "x" / f"{fid}.png")
+            save_matchset(MatchSet(fid, fid, pts, pts, np.full(len(pts), conf)),
+                          inp / "matches" / f"{fid}_{fid}.txt")
+        save_image(Image(np.ones((48, 24))), inp / "masks" / "0000.png", bit_depth=8)
+        frames = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=1)).frames
+        fused, warp = frames
+        assert (fused.status, fused.fallback) == ("fallback", "fused")
+        assert any(w.startswith("filtering stage failed")
+                   and "smaller than patch size 32" in w for w in fused.warnings)
+        assert "area mask is 48x24, the frame 24x48; area sampling skipped" in fused.warnings
+        assert (warp.status, warp.fallback) == ("fallback", "homography-warp")
+        assert any("all confidence levels are empty" in w for w in warp.warnings)
+        for f in frames:
+            rel = next(iter(f.outputs))
+            assert len(f.outputs[rel]) == 64 and (tmp_path / "out" / rel).is_file()
 
     def test_unreadable_area_mask_skips_area_sampling(self, bench_dir, tmp_path):
         import shutil
@@ -466,6 +530,25 @@ class TestExport:
         assert not (tmp_path / "c" / "exp2").exists()
 
 
+    def test_pgm_rgb_sources_exported(self, tmp_path):
+        """`export` finds the RGB sources by the rule `run` found them by."""
+        from rgbxalign.imgcore import gray_array
+
+        inp = tmp_path / "in"
+        save_bundle(gen_sequence(SceneConfig(seed=5, size=64, frames=2)), inp)
+        for png in sorted((inp / "rgb").glob("*.png")):
+            save_image(Image(gray_array(load_image(png))), png.with_suffix(".pgm"), bit_depth=8)
+            png.unlink()
+        manifest = run_pipeline(fast_config(inp, tmp_path / "run"))
+        assert [f.status for f in manifest.frames] == ["ok", "ok"]
+        model_dir = minimal_colmap(tmp_path, ["0000.pgm", "0001.pgm"])
+        assert cli_main(["export", "--run", str(tmp_path / "run"), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp"), "--name-format", "{frame}.pgm"]) == 0
+        for fid in ("0000", "0001"):
+            exported = tmp_path / "exp" / "images" / f"{fid}.pgm"
+            assert exported.read_bytes() == (inp / "rgb" / f"{fid}.pgm").read_bytes()
+
+
 class TestCli:
     def test_synth_run_eval_export(self, tmp_path):
         bundle = tmp_path / "bundle"
@@ -498,6 +581,11 @@ class TestCli:
         assert cli_main(["filter", "--rgb", str(tmp_path / "rgb.png"), "--xd", str(tmp_path / "d.png"),
                          "--out-prefix", str(tmp_path / "f")]) == 0
         assert (tmp_path / "f_rejected.png").exists()
+        # 96 x 100 tiles into the same 3 x 3 patches as the 96 x 96 RGB frame
+        save_image(Image(np.pad(tex, ((0, 0), (0, 4)), mode="edge")), tmp_path / "wide.png")
+        assert cli_main(["filter", "--rgb", str(tmp_path / "rgb.png"),
+                         "--xd", str(tmp_path / "wide.png"),
+                         "--out-prefix", str(tmp_path / "w")]) == 2
 
     def test_config_round_trip(self):
         cfg = PipelineConfig(input_dir="a", output_dir="b", seed=7,
