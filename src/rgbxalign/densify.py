@@ -32,12 +32,27 @@ diagonal k lies at the flat offset of neighbor offset k. scipy's DIA kernel
 adds the diagonals into a zeroed sum one at a time in storage order, so each
 pixel's sum runs in offset order, as in the scalar reference recurrence, and
 the result is the same bit for bit.
+
+A frame's levels, and the `reach` runs that rank them, are independent
+recurrences. Called on the main thread of a process that may run on two or
+more CPUs, `densify_multilevel` shares them between the caller and one
+process-wide helper thread; elsewhere, as on the frame threads of a
+multi-worker run, which already fill the cores, the caller runs them all.
+Each task makes the calls the serial loop makes and the results are put
+together in threshold order, so the output is the same bit for bit either
+way. `reach` stops after REACH_ITERATIONS: the fusion reads only the ranks
+of the levels' mean reach, and those ranks have settled by then.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,19 +433,91 @@ def threshold_sparse(
     return SparseMap(values, counts, sparse.units), ConfidenceMap(np.where(keep, conf.conf, 0.0))
 
 
+# `reach` runs at most this many iterations. Its mean only ranks the levels,
+# and on the benchmark's sequences the ranks after 12 iterations equal those
+# after the full 24.
+REACH_ITERATIONS = 12
+
+
 def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig) -> Image:
     """How strongly confident anchors reach each pixel, in [0, 1].
 
     The level's own recurrence run on its confidence raster from a zero
     start: anchors are pulled toward their confidence (toward 1 when
     cfg.use_confidence is off) and void pixels start at 0. Within the
-    iteration budget a pixel scores high only near confident anchors, so the
-    score rises with anchor confidence and falls with anchor spacing.
+    iteration budget, min(REACH_ITERATIONS, cfg.iterations), a pixel scores
+    high only near confident anchors, so the score rises with anchor
+    confidence and falls with anchor spacing. `fuse_levels` reads only the
+    ranks of the levels' mean reach, which a shorter budget than the
+    levels' own keeps.
     """
     field = SparseMap(
         np.where(sparse.known, conf.conf if cfg.use_confidence else 1.0, 0.0), sparse.counts
     )
+    cfg = dataclasses.replace(cfg, iterations=min(REACH_ITERATIONS, cfg.iterations))
     return propagate(Image(field.values), aff, field, conf, cfg)
+
+
+def _dense_level(
+    aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig
+) -> Image:
+    return propagate(init_dense(sparse), aff, sparse, conf, cfg)
+
+
+def _mean_reach(
+    aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: DensifyConfig
+) -> float:
+    return float(reach(aff, sparse, conf, cfg).data.mean())
+
+
+# The process-wide helper thread, started on first use.
+_helper: ThreadPoolExecutor | None = None
+
+
+def _helper_usable() -> bool:
+    """Whether the caller is the main thread and the process may use 2 CPUs."""
+    if threading.current_thread() is not threading.main_thread():
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _inline(task) -> Future:
+    """A done future holding what `task()` returned or raised."""
+    fut: Future = Future()
+    try:
+        fut.set_result(task())
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
+
+
+def _run_tasks(tasks: list) -> list:
+    """Each zero-argument task's result, in task order.
+
+    With the helper usable, every task is queued on it and the caller walks
+    the queue in order, running inline each task it can still cancel; so it
+    only ever waits for a task the helper has started, and still finishes
+    where the helper thread is gone, as in a forked child. Otherwise the
+    caller runs them all. Either way the first failure in task order is
+    raised.
+    """
+    global _helper
+    if len(tasks) < 2 or not _helper_usable():
+        return [task() for task in tasks]
+    if _helper is None:
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="densify")
+    futures = [_helper.submit(task) for task in tasks]
+    try:
+        done = [_inline(task) if fut.cancel() else fut for task, fut in zip(tasks, futures)]
+        return [fut.result() for fut in done]
+    finally:
+        # so that after an interrupt the helper drops the tasks still queued
+        for fut in futures:
+            fut.cancel()
 
 
 def densify_multilevel(
@@ -449,7 +536,6 @@ def densify_multilevel(
     lone level has nothing to be ranked against, so it gets none.
     """
     cfg = cfg or DensifyConfig()
-    out: dict[float, Image] = {}
     kept: dict[float, tuple[SparseMap, ConfidenceMap]] = {}
     for delta in cfg.thresholds:
         level_sparse, level_conf = threshold_sparse(sparse, conf, delta)
@@ -457,10 +543,14 @@ def densify_multilevel(
             logger.warning("threshold %.3f keeps no pixels; level omitted", delta)
             continue
         kept[delta] = level_sparse, level_conf
-        out[delta] = propagate(init_dense(level_sparse), aff, level_sparse, level_conf, cfg)
-    if not out:
+    if not kept:
         raise DensifyError("all confidence levels are empty")
-    if certainty is not None and len(out) > 1:
-        for delta, (level_sparse, level_conf) in kept.items():
-            certainty[delta] = float(reach(aff, level_sparse, level_conf, cfg).data.mean())
+    tasks = [functools.partial(_dense_level, aff, *level, cfg) for level in kept.values()]
+    ranked = certainty is not None and len(kept) > 1
+    if ranked:
+        tasks += [functools.partial(_mean_reach, aff, *level, cfg) for level in kept.values()]
+    results = _run_tasks(tasks)
+    out = dict(zip(kept, results))
+    if ranked:
+        certainty.update(zip(kept, results[len(kept) :]))
     return out

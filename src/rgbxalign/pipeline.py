@@ -222,8 +222,8 @@ class _RunContext:
     masks: dict[str, Path]
     backend: object
     out_dir: Path
-    # frame id -> why its file could not be read; such a frame is left out
-    # of `rgb` or `x`
+    # frame id -> why its file could not be read or used; such a frame is
+    # left out of `rgb` or `x`
     unreadable_rgb: dict[str, str] = field(default_factory=dict)
     unreadable_x: dict[str, str] = field(default_factory=dict)
 
@@ -268,6 +268,14 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
         unknown = sorted((set(frame_ids) | set(x)) - set(backend.index))
         if unknown:
             raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
+        # the oracle's matches lie on the bundle's raster, so a frame of
+        # another size is set aside as an unreadable one is
+        height, width = bundle.shape
+        for images, unusable in ((rgb, unreadable_rgb), (x, unreadable_x)):
+            for fid in [f for f, img in images.items() if img.shape != bundle.shape]:
+                img = images.pop(fid)
+                unusable[fid] = f"{img.height}x{img.width}, the bundle's frames are {height}x{width}"
+                logger.warning("frame %s set aside: %s", fid, unusable[fid])
     elif cfg.backend == "classical":
         backend = ClassicalBackend()
     else:
@@ -291,9 +299,22 @@ def _window_ids(ctx: _RunContext, n: int) -> list[str]:
 
 
 def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
+    """RGB frame n's record. An RgbxError, such as a malformed match file or
+    X frames with mixed units, fails the frame alone; its record keeps the
+    warnings gathered before it and the log gets one line."""
+    rec = FrameRecord(frame=ctx.frame_ids[n])
+    try:
+        return _process_frame(ctx, n, rec)
+    except RgbxError as exc:
+        rec.status = "failed"
+        rec.warnings.append(str(exc))
+        logger.error("frame %s failed: %s", rec.frame, exc)
+        return rec
+
+
+def _process_frame(ctx: _RunContext, n: int, rec: FrameRecord) -> FrameRecord:
     cfg = ctx.cfg
-    fid = ctx.frame_ids[n]
-    rec = FrameRecord(frame=fid)
+    fid = rec.frame
     if fid in ctx.unreadable_rgb:
         rec.status = "failed"
         rec.warnings.append(f"unreadable RGB frame ({ctx.unreadable_rgb[fid]})")
@@ -422,19 +443,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         config[key] = str(Path(config[key]).resolve())
     manifest = RunManifest(config=config)
 
-    def safe(n: int) -> FrameRecord:
-        fid = ctx.frame_ids[n]
-        try:
-            return process_frame(ctx, n)
-        except RgbxError as exc:
-            logger.exception("frame %s failed", fid)
-            return FrameRecord(frame=fid, status="failed", warnings=[str(exc)])
-
+    frame = functools.partial(process_frame, ctx)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(safe, range(len(ctx.frame_ids))))
+            records = list(pool.map(frame, range(len(ctx.frame_ids))))
     else:
-        records = [safe(n) for n in range(len(ctx.frame_ids))]
+        records = [frame(n) for n in range(len(ctx.frame_ids))]
     manifest.frames = records
 
     _write_report_csv(ctx.out_dir / "report.csv", records)

@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. The benchmark-trend criteria average 5 seeded trials each; the whole
-module takes about 4½ minutes single-threaded (266 s on a 2-vCPU VM, most
+module takes about 2½ minutes on two cores (141 s on a 2-vCPU VM, most
 of it in criteria 3 and 4). Every test here carries the `acceptance`
 marker, so `pytest -m "not acceptance"` runs the rest of the suite alone.
 """

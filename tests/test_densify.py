@@ -1,10 +1,17 @@
 """Propagation recurrence: affinities, anchoring, convergence, level logic."""
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.stats import rankdata
 
+from rgbxalign import densify
 from rgbxalign.densify import (
+    REACH_ITERATIONS,
     OFFSETS,
     AffinityField,
     DensifyConfig,
@@ -423,3 +430,122 @@ class TestReach:
         assert out.min() >= 0.0 and out.max() <= 0.5 + 1e-12
         forced = DensifyConfig(iterations=8, use_confidence=False)
         assert self.mean_reach(self.dense, 0.5, forced) == self.mean_reach(self.dense, 1.0, forced)
+
+    def test_iterations_capped(self):
+        conf = ConfidenceMap(np.where(self.dense.known, 0.6, 0.0))
+        field = SparseMap(np.where(self.dense.known, 0.6, 0.0), self.dense.counts)
+
+        def direct(iterations):
+            cfg = DensifyConfig(iterations=iterations, tol=0.0)
+            return propagate(Image(field.values), self.aff, field, conf, cfg).data
+
+        # a budget under the cap keeps its own bits; a larger one stops at the cap
+        low = reach(self.aff, self.dense, conf, DensifyConfig(iterations=8, tol=0.0)).data
+        assert np.array_equal(low, direct(8))
+        high = reach(self.aff, self.dense, conf, DensifyConfig(tol=0.0)).data
+        assert np.array_equal(high, direct(REACH_ITERATIONS))
+        assert not np.array_equal(high, direct(24))
+
+
+# the acceptance suite's trend noise: sigma, outlier fraction, rho
+TREND_NOISE = (0.5, 0.3, 0.8)
+
+
+def bundle_frame(bundle, n):
+    """Frame n's affinities and accumulated 7-frame-window oracle matches under TREND_NOISE."""
+    from rgbxalign.matching import accumulate_matches
+    from rgbxalign.synthbench import NoiseModel, oracle_match
+
+    sigma, outliers, rho = TREND_NOISE
+    noise = NoiseModel(sigma=sigma, outlier_fraction=outliers, rho=rho)
+    window = range(max(0, n - 3), min(len(bundle.frame_ids), n + 4))
+    sets = [oracle_match(bundle, (n, m), noise, 3000, seed=n) for m in window]
+    sp, conf = accumulate_matches(sets, [bundle.x_raw[m] for m in window], bundle.shape)
+    return compute_affinities(bundle.rgb[n]), sp, conf
+
+
+class TestHelperThread:
+    """densify_multilevel shares its recurrences with a helper thread only on
+    the main thread; the results are the serial loop's, bit for bit."""
+
+    def run_on_main_and_in_worker(self, fn):
+        on_main = fn()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return on_main, pool.submit(fn).result()
+
+    def test_same_bits_with_and_without_helper(self, small_bundle, monkeypatch):
+        aff, sp, conf = bundle_frame(small_bundle, 2)
+        assert sp.values.shape == (128, 128)
+        cfg = DensifyConfig()
+        threads = []
+        real = densify.propagate
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(densify, "propagate", spy)
+
+        def run():
+            threads.clear()
+            certainty = {}
+            levels = densify_multilevel(aff, sp, conf, cfg, certainty)
+            return levels, certainty, set(threads)
+
+        (main_levels, main_cert, main_threads), (pool_levels, pool_cert, pool_threads) = (
+            self.run_on_main_and_in_worker(run))
+        assert len(pool_threads) == 1 and threading.main_thread() not in pool_threads
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if cpus >= 2:
+            assert len(main_threads) == 2 and threading.main_thread() in main_threads
+        assert list(main_levels) == list(pool_levels) == [0.15, 0.3, 0.5]
+        assert main_cert == pool_cert and list(main_cert) == list(main_levels)
+        for delta, img in main_levels.items():
+            level_sp, level_conf = threshold_sparse(sp, conf, delta)
+            serial = real(init_dense(level_sp), aff, level_sp, level_conf, cfg).data
+            assert np.array_equal(img.data, serial)
+            assert np.array_equal(pool_levels[delta].data, serial)
+            assert main_cert[delta] == float(reach(aff, level_sp, level_conf, cfg).data.mean())
+
+    def test_first_failure_in_task_order_raised(self, small_bundle, monkeypatch):
+        aff, sp, conf = bundle_frame(small_bundle, 2)
+        real_init = densify.init_dense
+        loose = threshold_sparse(sp, conf, 0.15)[0].num_known
+
+        def failing_init(level_sparse):
+            # every level but the loosest fails, naming its known count
+            if level_sparse.num_known < loose:
+                raise DensifyError(f"level with {level_sparse.num_known} known")
+            return real_init(level_sparse)
+
+        def failing_reach(*args):
+            raise DensifyError("reach failed")
+
+        monkeypatch.setattr(densify, "init_dense", failing_init)
+        monkeypatch.setattr(densify, "reach", failing_reach)
+        middle = threshold_sparse(sp, conf, 0.3)[0].num_known
+
+        def run():
+            with pytest.raises(DensifyError) as info:
+                densify_multilevel(aff, sp, conf, DensifyConfig(iterations=6), {})
+            return str(info.value)
+
+        assert self.run_on_main_and_in_worker(run) == (f"level with {middle} known",) * 2
+        monkeypatch.setattr(densify, "init_dense", real_init)
+        assert self.run_on_main_and_in_worker(run) == ("reach failed",) * 2
+
+    def test_reach_ranks_equal_full_budget_ranks(self, small_bundle):
+        """The levels' ranks by REACH_ITERATIONS of reach equal their ranks by
+        the full 24-iteration recurrence on the same field."""
+        cfg = DensifyConfig()
+        for n in range(len(small_bundle.frame_ids)):
+            aff, sp, conf = bundle_frame(small_bundle, n)
+            certainty = {}
+            densify_multilevel(aff, sp, conf, cfg, certainty)
+            full = []
+            for delta in certainty:
+                level_sp, level_conf = threshold_sparse(sp, conf, delta)
+                field = SparseMap(np.where(level_sp.known, level_conf.conf, 0.0), level_sp.counts)
+                full.append(propagate(Image(field.values), aff, field, level_conf, cfg).data.mean())
+            assert len(certainty) == 3
+            assert np.array_equal(rankdata(list(certainty.values())), rankdata(full)), n

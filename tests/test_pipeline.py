@@ -372,6 +372,53 @@ class TestRun:
         assert "X frames disagree on units (0001 normalized, 0002 normalized, 0003 celsius)" in (
             frames[2].warnings)
 
+    def test_failed_frame_keeps_its_warnings(self, tmp_path, caplog):
+        """A frame failed by an RgbxError keeps the warnings gathered before
+        it, and the log gets one line per failed frame, not a traceback."""
+        import shutil
+
+        plain = tmp_path / "plain"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=4, modality="nir-like")), plain)
+        mixed = tmp_path / "mixed"
+        shutil.copytree(plain, mixed)
+        (mixed / "x_raw" / "0003.png.units").write_text("units celsius\nscale 0.001\noffset 10\n")
+        base = run_pipeline(fast_config(plain, tmp_path / "base", backend="classical", window=3))
+        with caplog.at_level("INFO", logger="rgbxalign"):
+            frames = run_pipeline(
+                fast_config(mixed, tmp_path / "out", backend="classical", window=3)
+            ).frames
+        assert [f.status for f in frames[2:]] == ["failed", "failed"]
+        assert frames[3].warnings == [
+            "window shrunk to 2 frames",
+            "X frames disagree on units (0002 normalized, 0003 celsius)",
+        ]
+        assert [f.outputs for f in frames[:2]] == [f.outputs for f in base.frames[:2]]
+        failed = [r for r in caplog.records if "failed" in r.getMessage()]
+        assert [r.getMessage().split(":")[0] for r in failed] == [
+            "frame 0002 failed", "frame 0003 failed"]
+        assert not any(r.exc_info for r in caplog.records)
+
+    @pytest.mark.parametrize("sensor", ["x_raw", "rgb"])
+    def test_oracle_frame_of_another_size_fails_only_itself(self, tmp_path, sensor):
+        """The oracle's matches lie on the bundle's raster, so an X frame of
+        another size is treated as missing and an RGB one fails its frame."""
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3, modality="nir-like")), inp)
+        victim = inp / sensor / "0001.png"
+        img = load_image(victim)
+        save_image(Image(img.data[:48], units=img.units), victim, bit_depth=16)
+        frames = run_pipeline(fast_config(inp, tmp_path / "out", window=3)).frames
+        why = "48x64, the bundle's frames are 64x64"
+        assert [frames[0].status, frames[2].status] == ["ok", "ok"]
+        if sensor == "x_raw":
+            assert frames[1].status == "ok"
+            assert [f.warnings for f in frames] == [
+                [f"X frame 0001 unreadable, treated as missing ({why})",
+                 f"window shrunk to {size} frames"] for size in (1, 2, 1)]
+        else:
+            assert frames[1].status == "failed" and not frames[1].outputs
+            assert frames[1].warnings == [f"unreadable RGB frame ({why})"]
+
     def test_fallback_ladder(self, tmp_path):
         """On 24 x 48 frames, confident matches densify but cannot be filtered
         (fused output); matches below every threshold cannot be densified
