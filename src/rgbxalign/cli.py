@@ -205,7 +205,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     result = fuse_filter.concentration_and_filter(xd, sim)
     save_image(Image((~result.sparse.known).astype(np.float64)),
                Path(args.out_prefix + "_rejected.png"), bit_depth=8)
-    save_image(Image(result.sparse.to_float_raster(void_value=0.0), units=xd.units),
+    save_image(Image(np.where(result.sparse.known, result.sparse.values, 0.0), units=xd.units),
                Path(args.out_prefix + "_filtered.png"), bit_depth=16)
     rejected = result.rejected_patches
     print(f"q={result.q:.4f} theta={result.threshold:.4f} "
@@ -227,7 +227,9 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except RgbxError as exc:
+    # an OSError is a path that cannot be made or read, such as an --out
+    # that names a file
+    except (RgbxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

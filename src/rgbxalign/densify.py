@@ -50,6 +50,7 @@ import dataclasses
 import functools
 import logging
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -60,7 +61,7 @@ from scipy.sparse import dia_array
 from scipy.spatial import cKDTree
 
 from .errors import DensifyError
-from .imgcore import ConfidenceMap, Image, SparseMap, gray_array
+from .imgcore import ConfidenceMap, Image, SparseMap, _check_field_types, gray_array
 
 logger = logging.getLogger(__name__)
 
@@ -87,9 +88,12 @@ class DensifyConfig:
     use_confidence: bool = True
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         deltas = tuple(self.thresholds)
+        if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) for d in deltas):
+            raise TypeError(f"thresholds must be real numbers, got {self.thresholds!r}")
         if not deltas or list(deltas) != sorted(deltas) or not all(0.0 <= d < 1.0 for d in deltas):
             raise ValueError("thresholds must be non-empty, ascending and within [0, 1)")
 
@@ -99,16 +103,16 @@ class AffinityField:
 
     `weights[k]` (K, H, W) pairs with `offsets[k]`; out-of-bounds neighbors
     carry weight 0 and each pixel's weights sum to 1. The weights are stored
-    only in `operator`: pixel (r, c) has flat index r * stride + c, and
-    diagonal k, at flat offset dr * stride + dc, holds weights[k] shifted to
-    the column it multiplies. So `operator @ x` adds w_k * x[p + offset_k]
-    into a zeroed sum in offset order at every pixel p, as the reference
-    recurrence does. `stride` is W unless the raster is narrower than the
-    offsets' column span; there it is widened with zero columns so that
-    distinct offsets keep distinct diagonals. The field is built in the
-    buffer of `weights` when that is a writable C-contiguous float64 array,
-    which it overwrites, so no second (K, H, W) copy is held; a caller that
-    needs the weights afterwards passes a copy.
+    only in `operator`: pixel (r, c) has flat index r * W + c, and diagonal
+    k, at flat offset dr * W + dc, holds weights[k] shifted to the column it
+    multiplies. So `operator @ x` adds w_k * x[p + offset_k] into a zeroed
+    sum in offset order at every pixel p of a raveled raster, as the
+    reference recurrence does. Distinct offsets keep distinct diagonals only
+    when W exceeds the offsets' column span, 2 * max|dc|, so a narrower
+    raster is rejected. The field is built in the buffer of `weights` when
+    that is a writable C-contiguous float64 array, which it overwrites, so
+    no second (K, H, W) copy is held; a caller that needs the weights
+    afterwards passes a copy.
     """
 
     def __init__(self, weights: np.ndarray, offsets: tuple[tuple[int, int], ...]) -> None:
@@ -121,6 +125,8 @@ class AffinityField:
         if np.abs(sums - 1.0).max() > 1e-6:
             raise ValueError("per-pixel affinity weights must sum to 1")
         height, width = w.shape[1:]
+        if width <= 2 * max((abs(dc) for _, dc in offsets), default=0):
+            raise ValueError("raster narrower than the offsets' column span")
         for weight, (dr, dc) in zip(w, offsets):
             rows = slice(max(0, height - dr), None) if dr >= 0 else slice(None, -dr)
             cols = slice(max(0, width - dc), None) if dc >= 0 else slice(None, -dc)
@@ -128,14 +134,9 @@ class AffinityField:
                 raise ValueError("out-of-bounds neighbors must carry weight 0")
         self.offsets = tuple(offsets)
         self.shape = (height, width)
-        self.stride = max(width, 2 * max((abs(dc) for _, dc in offsets), default=0) + 1)
-        if self.stride > width:
-            padded = np.zeros((len(offsets), height, self.stride))
-            padded[..., :width] = w
-            w = padded
-        size = height * self.stride
+        size = height * width
         data = w.reshape(len(offsets), size)
-        flat_offsets = [dr * self.stride + dc for dr, dc in offsets]
+        flat_offsets = [dr * width + dc for dr, dc in offsets]
         # each row moves from pixel to column order in place; numpy buffers
         # the overlapping copy
         for row, offset in zip(data, flat_offsets):
@@ -145,18 +146,6 @@ class AffinityField:
             row[cols.stop :] = 0.0
         data.flags.writeable = False
         self.operator = dia_array((data, flat_offsets), shape=(size, size))
-
-    def flatten(self, raster: np.ndarray) -> np.ndarray:
-        """An (H, W) raster as a new flat vector in the operator's pixel order."""
-        height, width = self.shape
-        out = np.zeros((height, self.stride))
-        out[:, :width] = raster
-        return out.ravel()
-
-    def raster(self, flat: np.ndarray) -> np.ndarray:
-        """The (..., H, W) raster view of vectors in the operator's pixel order."""
-        height, width = self.shape
-        return flat.reshape(*flat.shape[:-1], height, self.stride)[..., :width]
 
 
 def _diagonal_span(offset: int, size: int) -> tuple[slice, slice]:
@@ -200,7 +189,8 @@ def _guidance_weights(rgb: Image) -> np.ndarray:
     """
     g = gray_array(rgb)
     height, width = g.shape
-    if height < 2 or width < 2:
+    # narrower, distinct OFFSETS would share a diagonal of the AffinityField
+    if height < 2 or width <= 2 * max(RADII):
         raise DensifyError("guidance image too small for neighborhood affinities")
     weights = np.zeros((len(OFFSETS), height, width))
     inv_color = 1.0 / (2.0 * SIGMA_COLOR**2)
@@ -387,21 +377,22 @@ def propagate(
         raise DensifyError("propagation operates on single-channel rasters")
     if l0.shape != aff.shape:
         raise DensifyError("raster shape differs from the affinity field's")
+    # the anchor becomes `keep` in place, and `pull` is anchor * xm, so that
+    # the loop holds no raster beyond those two and its own
     anchor = sparse.known.astype(np.float64)
     if cfg.use_confidence:
-        anchor = anchor * cm.conf
-    xm = np.where(sparse.known, sparse.values, 0.0)
+        anchor *= cm.conf
+    pull = np.where(sparse.known, sparse.values, 0.0).ravel()
+    pull *= anchor.ravel()
+    keep = np.subtract(1.0, anchor, out=anchor).ravel()
     known_vals = sparse.values[sparse.known]
     lo = min(l0.data.min(), known_vals.min()) if known_vals.size else l0.data.min()
     hi = max(l0.data.max(), known_vals.max()) if known_vals.size else l0.data.max()
 
     # one product with the affinity operator per iteration: it sums
     # w_k * L[p + offset_k] per pixel in offset order, as the reference does.
-    # Padding columns, if any, have no weights, keep 0 and pull 0, so they
-    # stay 0.
-    keep = aff.flatten(1.0 - anchor)
-    pull = aff.flatten(anchor * xm)
-    current = aff.flatten(l0.data)
+    # `current` starts as a view of l0's read-only data; nothing writes into it
+    current = l0.data.ravel()
     delta = np.empty_like(current)
     for _ in range(cfg.iterations):
         nxt = aff.operator @ current
@@ -417,7 +408,7 @@ def propagate(
             raise DensifyError("non-finite value during propagation")
         if step < cfg.tol:
             break
-    current = aff.raster(current)
+    current = current.reshape(aff.shape)
     if current.min() < lo - 1e-9 or current.max() > hi + 1e-9:
         raise DensifyError("propagation escaped the convex value bound")
     return Image(current, units=l0.units)

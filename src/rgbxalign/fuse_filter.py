@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .densify import AffinityField, DensifyConfig, init_dense, propagate
-from .errors import DensifyError, FilterError
+from .errors import FilterError
 from .imgcore import ConfidenceMap, Image, SparseMap, _freeze, gray_array
 from .quantiles import quantile
 
@@ -381,8 +381,8 @@ class SimilarityMatrix:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 2:
-            raise FilterError("similarity matrix must be 2-D")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise FilterError("similarity matrix must be square")
         if self.tau <= 0:
             raise FilterError("tau must be positive")
         if np.abs(a).max() > 1.0 / self.tau + 1e-6:
@@ -402,8 +402,6 @@ def self_match_score(a: SimilarityMatrix) -> float:
     Lower is better aligned. Exposed as an evaluation metric.
     """
     mat = a.a
-    if mat.shape[0] != mat.shape[1]:
-        raise FilterError("self-match score requires a square matrix")
     fro = float(np.linalg.norm(mat))
     if fro <= 0.0:
         raise FilterError("self-match score undefined for the zero matrix")
@@ -435,9 +433,11 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix) -> FilterResult:
     below it are voided, and survivors carry their min-max-normalized
     diagonal score as per-pixel confidence for re-densification.
     """
+    if xd.channels != 1:
+        raise FilterError("filtering needs a single-channel image")
     grid = PatchGrid(*xd.shape)
     mat = a.a
-    if mat.shape[0] != mat.shape[1] or mat.shape[0] != grid.patches:
+    if mat.shape[0] != grid.patches:
         raise FilterError("similarity matrix does not match the patch grid")
     d = np.diag(mat).astype(np.float64)
     q99 = quantile(d, 0.99)
@@ -484,8 +484,7 @@ def fine_densify(
     """Single-level re-densification from the filtered map with A-derived confidence.
 
     `aff` is the frame's `compute_affinities` field, shared with the levels.
+    A map with no known pixel raises `init_dense`'s DensifyError.
     """
     cfg = cfg or DensifyConfig()
-    if filtered.num_known == 0:
-        raise DensifyError("filtered map has no known pixels")
     return propagate(init_dense(filtered), aff, filtered, cm, cfg)

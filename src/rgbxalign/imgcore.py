@@ -5,11 +5,14 @@ RGB values live in [0, 1]; X-modality values live in [0, 1] or in physical
 units (currently degrees Celsius) as declared by the image's units tag.
 PNG (8/16-bit, grayscale and RGB) and PGM (P2/P5) are read and written by a
 small built-in codec so that 16-bit three-channel files and byte-identical
-output hashes work the same everywhere.
+output hashes work the same everywhere. The config dataclasses check
+their field types here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -32,6 +35,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+# the type each field annotation asks for, and its name; the annotations are
+# strings, as `from __future__ import annotations` leaves them
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "bool": (bool, "true or false"),
+}
+
+
+def _check_field_types(obj) -> None:
+    """Raise TypeError naming the first field of the dataclass `obj` that is
+    annotated int, float or bool and holds another type. numpy scalars pass;
+    a bool is neither an int nor a float."""
+    for f in dataclasses.fields(obj):
+        kind = _FIELD_TYPES.get(f.type)
+        if kind is None:
+            continue
+        cls, name = kind
+        value = getattr(obj, f.name)
+        if not isinstance(value, cls) or (isinstance(value, bool) and cls is not bool):
+            raise TypeError(f"{f.name} must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +105,9 @@ class SparseMap:
     """Partially observed X raster.
 
     A pixel is void iff counts == 0; its value entry is meaningless then.
-    External float serializations render void pixels as -1, but the in-memory
-    sentinel is the count so that -1 stays a legal physical value. `units`
-    tags the values as an Image's does, and passes on to the dense rasters
-    made from them.
+    The count, not a sentinel value, marks the void, so every value stays a
+    legal physical value. `units` tags the values as an Image's does, and
+    passes on to the dense rasters made from them.
     """
 
     values: np.ndarray
@@ -116,11 +141,6 @@ class SparseMap:
     @property
     def num_known(self) -> int:
         return int(np.count_nonzero(self.counts))
-
-    def to_float_raster(self, void_value: float = -1.0) -> np.ndarray:
-        """Render with the external void sentinel (paper-style -1 map)."""
-        out = np.where(self.known, self.values, void_value)
-        return out
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,15 @@ def round_to_pixel(coords: np.ndarray) -> np.ndarray:
 class MatchSet:
     """Correspondences between one RGB frame and one X frame.
 
-    Stored as parallel arrays. Construction deduplicates matches that round
-    to the same RGB pixel, keeping the highest-confidence one.
+    Stored as parallel arrays, none by default. Construction deduplicates
+    matches that round to the same RGB pixel, keeping the highest-confidence one.
     """
 
     rgb_frame: str
     x_frame: str
-    p_rgb: np.ndarray  # (N, 2) float64, (row, col)
-    p_x: np.ndarray  # (N, 2) float64, (row, col)
-    conf: np.ndarray  # (N,) float64 in [0, 1]
+    p_rgb: np.ndarray = ()  # (N, 2) float64, (row, col)
+    p_x: np.ndarray = ()  # (N, 2) float64, (row, col)
+    conf: np.ndarray = ()  # (N,) float64 in [0, 1]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -175,11 +175,7 @@ class ClassicalBackend:
         """Produce correspondences between an RGB frame and an X frame."""
         half = self.PATCH // 2
         if min(rgb.height, rgb.width, x.height, x.width) < self.PATCH + 2:
-            return MatchSet(
-                rgb_frame, x_frame,
-                np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
-                warnings=("image smaller than descriptor window",),
-            )
+            return MatchSet(rgb_frame, x_frame, warnings=("image smaller than descriptor window",))
         g_rgb = _orientation_channels(gray_array(rgb))
         g_x = _orientation_channels(gray_array(x))
         energy = np.hypot(g_rgb[:, :, 0], g_rgb[:, :, 1])
@@ -203,8 +199,6 @@ class ClassicalBackend:
             p_rgb.append((float(r), float(c)))
             p_x.append((float(rx), float(cx)))
             conf.append(score)
-        if not conf:
-            return MatchSet(rgb_frame, x_frame, np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
         return MatchSet(rgb_frame, x_frame, np.array(p_rgb), np.array(p_x), np.array(conf))
 
     def _detect(self, energy: np.ndarray, half: int) -> list[tuple[int, int]]:
@@ -463,7 +457,7 @@ def _samples_needed(inlier_fraction: float) -> int:
 def estimate_homography(
     ms: MatchSet,
     reproj_thresh: float = 2.0,
-    max_iters: int = 1000,
+    max_iters: int = 500,
     seed: int = 0,
 ) -> tuple[Homography, np.ndarray]:
     """RANSAC homography from RGB coordinates to X coordinates.

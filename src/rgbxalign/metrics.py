@@ -94,10 +94,7 @@ def mae_rmse(a: Image, b: Image) -> tuple[float, float]:
 
 def diag_percentiles(a: SimilarityMatrix) -> list[float]:
     """Linear-interpolation DIAG_PERCENTILES of the similarity diagonal."""
-    mat = a.a
-    if mat.shape[0] != mat.shape[1]:
-        raise MetricError("diagonal percentiles require a square matrix")
-    d = np.diag(mat)
+    d = np.diag(a.a)
     if d.size == 0:
         raise MetricError("empty diagonal")
     return [quantile(d, p / 100.0) for p in DIAG_PERCENTILES]

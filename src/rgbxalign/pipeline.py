@@ -26,7 +26,7 @@ from . import fuse_filter, metrics
 from .colmap import ColmapModel, write_colmap_model
 from .densify import DensifyConfig, compute_affinities, densify_multilevel
 from .errors import DensifyError, EstimationFailedError, ImageIOError, PipelineError, RgbxError
-from .imgcore import Image, Mask, load_image, save_image
+from .imgcore import Image, Mask, _check_field_types, load_image, save_image
 from .matching import (
     Homography,
     MatchSet,
@@ -37,7 +37,9 @@ from .matching import (
     warp_image,
 )
 from .sampling import area_sample
-from .synthbench import GroundTruthBundle, NoiseModel, load_bundle, oracle_match
+from .synthbench import (
+    GroundTruthBundle, NoiseModel, consistency_metric, load_bundle, oracle_match,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +59,6 @@ class PipelineConfig:
     seed: int = 0
     window: int = 7  # accumulate X keypoints from frames n-3 .. n+3
     densify: DensifyConfig = field(default_factory=DensifyConfig)
-    ransac_iters: int = 500
     oracle_count: int = 3000
     oracle_sigma: float = 0.0
     oracle_outliers: float = 0.0
@@ -69,6 +70,8 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # a wrong type would otherwise fail every frame, or pass for a flag that is on
+        _check_field_types(self)
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 1")
         if self.backend not in BACKENDS:
@@ -76,8 +79,6 @@ class PipelineConfig:
         # a bad value would otherwise raise inside every frame and abort the run
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.ransac_iters < 1:
-            raise ValueError("ransac_iters must be >= 1")
         if self.oracle_count < 1:
             raise ValueError("oracle_count must be >= 1")
         if self.workers < 1:
@@ -204,10 +205,7 @@ class _FileAdapter:
     def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
         path = self.matches_dir / f"{rgb_frame}_{x_frame}.txt"
         if not path.exists():
-            return MatchSet(
-                rgb_frame, x_frame, np.empty((0, 2)), np.empty((0, 2)), np.empty(0),
-                warnings=(f"no match file {path.name}",),
-            )
+            return MatchSet(rgb_frame, x_frame, warnings=(f"no match file {path.name}",))
         # `rgbxalign match` writes the header "0 0"; the file name names the frames
         ms = load_matchset(path)
         return MatchSet(rgb_frame, x_frame, ms.p_rgb, ms.p_x, ms.conf)
@@ -286,16 +284,13 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir, unreadable_rgb, unreadable_x)
 
 
-def _window_span(ctx: _RunContext, n: int) -> list[str]:
-    """The ids of `ctx.sequence` within window // 2 of RGB frame n's id."""
-    k = ctx.sequence.index(ctx.frame_ids[n])
+def _window(ctx: _RunContext, k: int) -> tuple[list[str], list[str]]:
+    """(span, x_ids) of the frame at position k of `ctx.sequence`: the ids
+    within window // 2 of it, and the X frames among them, which are matched
+    against its RGB frame."""
     half = ctx.cfg.window // 2
-    return ctx.sequence[max(0, k - half) : k + half + 1]
-
-
-def _window_ids(ctx: _RunContext, n: int) -> list[str]:
-    """The X frames matched against RGB frame n: those its window span holds."""
-    return [m for m in _window_span(ctx, n) if m in ctx.x]
+    span = ctx.sequence[max(0, k - half) : k + half + 1]
+    return span, [m for m in span if m in ctx.x]
 
 
 def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
@@ -304,7 +299,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
     warnings gathered before it and the log gets one line."""
     rec = FrameRecord(frame=ctx.frame_ids[n])
     try:
-        return _process_frame(ctx, n, rec)
+        return _process_frame(ctx, rec)
     except RgbxError as exc:
         rec.status = "failed"
         rec.warnings.append(str(exc))
@@ -312,7 +307,7 @@ def process_frame(ctx: _RunContext, n: int) -> FrameRecord:
         return rec
 
 
-def _process_frame(ctx: _RunContext, n: int, rec: FrameRecord) -> FrameRecord:
+def _process_frame(ctx: _RunContext, rec: FrameRecord) -> FrameRecord:
     cfg = ctx.cfg
     fid = rec.frame
     if fid in ctx.unreadable_rgb:
@@ -321,11 +316,10 @@ def _process_frame(ctx: _RunContext, n: int, rec: FrameRecord) -> FrameRecord:
         return rec
     rgb = ctx.rgb[fid]
     shape = rgb.shape
-    # equals n when both sensors have the same frames
+    # the frame's index in frame_ids when both sensors have the same frames
     k = ctx.sequence.index(fid)
 
-    window = _window_ids(ctx, n)
-    span = _window_span(ctx, n)
+    span, window = _window(ctx, k)
     for m, why in sorted(ctx.unreadable_x.items()):
         if span[0] <= m <= span[-1]:
             rec.warnings.append(f"X frame {m} unreadable, treated as missing ({why})")
@@ -346,9 +340,7 @@ def _process_frame(ctx: _RunContext, n: int, rec: FrameRecord) -> FrameRecord:
     # rung); the warp moves the X frame the homography was estimated for
     center = sets[window.index(fid)] if fid in window else sets[len(sets) // 2]
     try:
-        hom, _ = estimate_homography(
-            center, max_iters=cfg.ransac_iters, seed=stage_seed(cfg.seed, k, 1)
-        )
+        hom, _ = estimate_homography(center, seed=stage_seed(cfg.seed, k, 1))
     except EstimationFailedError as exc:
         hom = Homography.identity()
         rec.warnings.append(f"homography estimation failed ({exc}); identity warp")
@@ -482,8 +474,6 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
     Each output is scored against the bundle frame of the same id; its
     consistency is scored only when the next bundle frame has an output too.
     """
-    from .synthbench import consistency_metric
-
     bundle = load_bundle(input_dir)
     run_dir = Path(run_dir)
     out_paths = _frame_paths(run_dir / "x_final")

@@ -28,7 +28,9 @@ from scipy.ndimage import binary_erosion, gaussian_filter
 
 from .errors import MetricError, RgbxError
 from .fuse_filter import PatchGrid
-from .imgcore import Image, Mask, _freeze, _luma, _pixel_grid, bilinear_sample, save_image
+from .imgcore import (
+    Image, Mask, _check_field_types, _freeze, _luma, _pixel_grid, bilinear_sample, save_image,
+)
 from .matching import MatchSet, _apply_homography
 
 logger = logging.getLogger(__name__)
@@ -72,6 +74,7 @@ class SceneConfig:
     corrupt_patch_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.size < 64:
@@ -100,6 +103,7 @@ class NoiseModel:
     skip_homogeneous: bool = False  # emulate matchers failing on texture-less areas
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.sigma < 0:
             raise ValueError("noise sigma must be non-negative")
         for frac in (self.outlier_fraction, self.rho):
@@ -744,7 +748,7 @@ def oracle_match(
         eligible &= ~bundle.area_masks[i].bits
     candidates = np.argwhere(eligible)
     if len(candidates) == 0:
-        return MatchSet(rgb_frame, x_frame, np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
+        return MatchSet(rgb_frame, x_frame)
     k = min(count, len(candidates))
     chosen = candidates[rng.choice(len(candidates), size=k, replace=False)]
     p_rgb = chosen.astype(np.float64)

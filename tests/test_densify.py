@@ -82,7 +82,8 @@ class TestAffinities:
         up = OFFSETS.index((-1, 0))
         assert weights[up, 0, 5] == 0.0
 
-    @pytest.mark.parametrize("shape", [(3, 30), (30, 3)])
+    # (2, 9) is the smallest guide accepted
+    @pytest.mark.parametrize("shape", [(3, 30), (2, 9)])
     def test_guide_thinner_than_largest_radius(self, rng, shape):
         # every radius-4 neighbor lies off the raster in the thin dimension
         weights = _guidance_weights(Image(rng.random((*shape, 3))))
@@ -90,6 +91,17 @@ class TestAffinities:
         for k, (dr, dc) in enumerate(OFFSETS):
             if abs(dr) >= shape[0] or abs(dc) >= shape[1]:
                 assert not weights[k].any()
+
+    def test_guide_too_narrow_for_the_offsets(self, rng):
+        with pytest.raises(DensifyError, match="too small"):
+            _guidance_weights(Image(rng.random((30, 8, 3))))
+
+    def test_field_narrower_than_its_column_span_rejected(self):
+        # offsets (0, 1) and (0, -1) span 2 columns, so the raster needs 3
+        weights = np.zeros((2, 4, 2))
+        weights[0, :, 0], weights[1, :, 1] = 1.0, 1.0
+        with pytest.raises(ValueError, match="column span"):
+            AffinityField(weights, ((0, 1), (0, -1)))
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -263,9 +275,10 @@ class TestPropagate:
                                        sp.known.astype(np.float64), 4)
             assert np.array_equal(mine.data, ref)
 
-    # whole diagonals fall off these rasters; on the 3-wide one, offsets such
-    # as (0, 2) and (1, -1) land on the same flat diagonal of the raster
-    @pytest.mark.parametrize("shape", [(3, 30), (30, 3), (5, 7)])
+    # whole diagonals fall off these rasters; on the 9-wide ones, the
+    # narrowest accepted, a column offset of 4 reaches the next row's edge,
+    # where its weight is 0
+    @pytest.mark.parametrize("shape", [(3, 30), (5, 9), (2, 9)])
     @pytest.mark.parametrize("use_confidence", [True, False])
     def test_bitwise_vs_reference_on_thin_rasters(self, rng, shape, use_confidence):
         sp = random_sparse(rng, shape, 0.3)

@@ -281,6 +281,10 @@ class TestSimilarity:
         a2 = f.mat @ (2.0 * f.mat).T / 0.1
         assert np.abs(a2 - 2.0 * a1).max() < 1e-9
 
+    def test_not_square_rejected(self):
+        with pytest.raises(FilterError, match="square"):
+            SimilarityMatrix(np.ones((2, 3)))
+
     def test_dim_mismatch(self, rng):
         fa = FeatureMatrix(np.eye(3))
         fb = FeatureMatrix(np.eye(4))

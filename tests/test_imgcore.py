@@ -62,10 +62,6 @@ class TestSparseMap:
         assert sp.known.tolist() == [[True, False], [False, True]]
         assert sp.num_known == 2
 
-    def test_external_sentinel(self):
-        sp = SparseMap(np.array([[0.5, 0.0]]), np.array([[1, 0]]))
-        assert sp.to_float_raster().tolist() == [[0.5, -1.0]]
-
     def test_nan_at_void_is_fine(self):
         sp = SparseMap(np.array([[np.nan, 1.0]]), np.array([[0, 1]]))
         assert sp.num_known == 1

@@ -84,6 +84,12 @@ class TestMatchSet:
         idx = list(round_to_pixel(ms.p_rgb)[:, 0]).index(5)
         assert ms.conf[idx] == 0.9
 
+    def test_empty_by_default(self):
+        ms = MatchSet("a", "b")
+        assert len(ms) == 0
+        for arr, shape in ((ms.p_rgb, (0, 2)), (ms.p_x, (0, 2)), (ms.conf, (0,))):
+            assert arr.dtype == np.float64 and arr.shape == shape
+
     def test_rejects_bad_conf(self):
         with pytest.raises(MatchingError):
             MatchSet("a", "b", np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]), np.array([1.5]))
@@ -280,6 +286,19 @@ def count_scored(monkeypatch):
     return calls
 
 
+def count_drawn(monkeypatch):
+    """The sizes of the sample batches drawn."""
+    drawn = []
+    draw = matching._draw_samples
+
+    def spy(weights, rng, count):
+        drawn.append(count)
+        return draw(weights, rng, count)
+
+    monkeypatch.setattr(matching, "_draw_samples", spy)
+    return drawn
+
+
 class TestStopping:
     def test_noise_free_stops_at_once(self, rng, monkeypatch):
         h_true = np.array([[0.99, 0.01, 4.0], [-0.02, 1.02, -6.0], [1e-5, -1e-5, 1.0]])
@@ -314,18 +333,18 @@ class TestStopping:
         pts = np.column_stack([np.arange(10, dtype=float), np.arange(10, dtype=float)])
         ms = MatchSet("a", "b", pts, pts + 1.0, np.ones(10))
         scored = count_scored(monkeypatch)
-        drawn = []
-        draw = matching._draw_samples
-
-        def draw_spy(weights, rng, count):
-            drawn.append(count)
-            return draw(weights, rng, count)
-
-        monkeypatch.setattr(matching, "_draw_samples", draw_spy)
+        drawn = count_drawn(monkeypatch)
         with pytest.raises(EstimationFailedError):
             estimate_homography(ms, max_iters=100, seed=1)
         assert sum(drawn) == 100
         assert not scored
+
+    def test_default_cap_is_500(self, monkeypatch):
+        pts = np.column_stack([np.arange(10, dtype=float), np.arange(10, dtype=float)])
+        drawn = count_drawn(monkeypatch)
+        with pytest.raises(EstimationFailedError):
+            estimate_homography(MatchSet("a", "b", pts, pts + 1.0, np.ones(10)))
+        assert sum(drawn) == 500
 
 
 def has_collinear_triple(pts, eps=1e-6):

@@ -1,6 +1,11 @@
 """Pipeline orchestration: determinism, isolation, fallbacks, eval, export, CLI."""
 
+import hashlib
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,7 @@ from rgbxalign.pipeline import (
     PipelineConfig,
     RunManifest,
     _load_context,
-    _window_ids,
+    _window,
     evaluate_run,
     export_dataset,
     run_pipeline,
@@ -64,7 +69,6 @@ def fast_config(bench_dir, out_dir, **kw):
         seed=1,
         oracle_count=1500,
         densify=DensifyConfig(**FAST_DENSIFY),
-        ransac_iters=200,
     )
     base.update(kw)
     return PipelineConfig(**base)
@@ -134,7 +138,7 @@ class TestRun:
         shutil.copytree(bench_dir, partial)
         (partial / "rgb" / "0003.png").unlink()
         ctx = _load_context(fast_config(partial, tmp_path / "out", window=3))
-        windows = {fid: _window_ids(ctx, n) for n, fid in enumerate(ctx.frame_ids)}
+        windows = {fid: _window(ctx, ctx.sequence.index(fid))[1] for fid in ctx.frame_ids}
         assert windows["0002"] == ["0001", "0002", "0003"]
         assert windows["0004"] == ["0003", "0004", "0005"]
         assert windows["0005"] == ["0004", "0005"]
@@ -449,6 +453,25 @@ class TestRun:
             rel = next(iter(f.outputs))
             assert len(f.outputs[rel]) == 64 and (tmp_path / "out" / rel).is_file()
 
+    def test_frame_under_9px_wide_gets_the_warp(self, tmp_path):
+        """Confident matches cannot densify a 30 x 8 frame: the affinity
+        offsets need 9 columns, so it gets the homography-warp output."""
+        from rgbxalign.matching import save_matchset
+
+        inp = tmp_path / "in"
+        for sub in ("rgb", "x", "matches"):
+            (inp / sub).mkdir(parents=True)
+        rng = np.random.default_rng(0)
+        rows, cols = np.meshgrid(np.arange(1, 29, 3.0), np.arange(1, 8, 2.0), indexing="ij")
+        pts = np.column_stack([rows.ravel(), cols.ravel()])
+        save_image(Image(rng.random((30, 8, 3))), inp / "rgb" / "0000.png")
+        save_image(Image(rng.random((30, 8))), inp / "x" / "0000.png")
+        save_matchset(MatchSet("0000", "0000", pts, pts, np.full(len(pts), 0.9)),
+                      inp / "matches" / "0000_0000.txt")
+        (rec,) = run_pipeline(fast_config(inp, tmp_path / "out", backend="file", window=1)).frames
+        assert (rec.status, rec.fallback) == ("fallback", "homography-warp")
+        assert any("guidance image too small" in w for w in rec.warnings)
+
     def test_unreadable_area_mask_skips_area_sampling(self, bench_dir, tmp_path):
         import shutil
 
@@ -634,6 +657,37 @@ class TestCli:
                          "--xd", str(tmp_path / "wide.png"),
                          "--out-prefix", str(tmp_path / "w")]) == 2
 
+    def test_filter_rejects_colour_x(self, tmp_path, rng, capsys):
+        save_image(Image(rng.random((64, 64, 3))), tmp_path / "rgb.png", bit_depth=8)
+        code = cli_main(["filter", "--rgb", str(tmp_path / "rgb.png"),
+                         "--xd", str(tmp_path / "rgb.png"), "--out-prefix", str(tmp_path / "f")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "synth", "export"])
+    def test_out_that_is_a_file_reported(self, bench_dir, tmp_path, rng, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        if command == "run":
+            args = ["run", "--input", str(bench_dir)]
+        elif command == "synth":
+            args = ["synth", "--size", "64", "--frames", "1"]
+        else:
+            # a one-frame run written by hand, with its RGB source and pose
+            for sub in ("in/rgb", "run/x_final"):
+                (tmp_path / sub).mkdir(parents=True)
+            save_image(Image(rng.random((8, 8, 3))), tmp_path / "in" / "rgb" / "0000.png")
+            save_image(Image(rng.random((8, 8))), tmp_path / "run" / "x_final" / "0000.png")
+            digest = hashlib.sha256((tmp_path / "run" / "x_final" / "0000.png").read_bytes())
+            RunManifest({"input_dir": str(tmp_path / "in"), "output_dir": str(tmp_path / "run")},
+                        [FrameRecord("0000", outputs={"x_final/0000.png": digest.hexdigest()})]
+                        ).write(tmp_path / "run" / "manifest.json")
+            args = ["export", "--run", str(tmp_path / "run"),
+                    "--model", str(minimal_colmap(tmp_path, ["0000.png"]))]
+        assert cli_main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
     def test_config_round_trip(self):
         cfg = PipelineConfig(input_dir="a", output_dir="b", seed=7,
                              densify=DensifyConfig(thresholds=(0.2,)))
@@ -647,7 +701,6 @@ class TestCli:
 
     @pytest.mark.parametrize("cls, kwargs", [
         pytest.param(PipelineConfig, dict(seed=-1), id="seed"),
-        pytest.param(PipelineConfig, dict(ransac_iters=0), id="ransac_iters"),
         pytest.param(PipelineConfig, dict(oracle_count=0), id="oracle_count"),
         pytest.param(PipelineConfig, dict(oracle_sigma=-1.0), id="oracle_sigma"),
         pytest.param(PipelineConfig, dict(oracle_outliers=-0.1), id="oracle_outliers"),
@@ -678,6 +731,40 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("config, named", [
+        ({"seed": 1.5}, "seed"),
+        ({"window": 3.0}, "window"),
+        ({"oracle_count": 100.5}, "oracle_count"),
+        ({"densify": {"iterations": 2.5}}, "iterations"),
+        ({"enable_filtering": "no"}, "enable_filtering"),
+        ({"densify": {"use_confidence": "false"}}, "use_confidence"),
+        ({"ransac_iters": 500}, "unknown config keys: ransac_iters"),
+    ], ids=["seed", "window", "oracle_count", "iterations", "enable_filtering",
+            "use_confidence", "ransac_iters"])
+    def test_bad_config_value_named(self, config, named):
+        with pytest.raises(PipelineError, match=named):
+            PipelineConfig.from_json(config)
+
+    def test_int_for_a_real_field_accepted(self):
+        assert PipelineConfig.from_json({"oracle_sigma": 1}).oracle_sigma == 1
+
+    def test_run_rejects_config_value_of_wrong_type(self, bench_dir, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"enable_filtering": "no"}))
+        code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
+                         "--config", str(tmp_path / "cfg.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ") and "enable_filtering" in err
+
+    def test_readme_lists_the_config_fields(self):
+        """The README's `--config` key list names every settable field, and only those."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        start = readme.index("A `--config` file is a JSON object of `PipelineConfig` fields:")
+        listed = set(re.findall(r"`([^`]+)`", readme[start : readme.index(";", start)]))
+        listed -= {"--config", "PipelineConfig"}
+        settable = {f.name for f in fields(PipelineConfig)} - {"input_dir", "output_dir"}
+        assert listed == settable | {f.name for f in fields(DensifyConfig)}
 
     @pytest.mark.parametrize("config, densify", [
         (None, DensifyConfig(use_confidence=False)),
@@ -746,14 +833,17 @@ class TestCli:
         assert err.startswith("error: ") and repr(name_format) in err
         assert not (tmp_path / "exp").exists()
 
-    @pytest.mark.parametrize("config", ["{not json", '{"seed": 1, "frames": "two"}'],
-                             ids=["not-json", "bad-value"])
-    def test_bad_scene_config_reported(self, bench_dir, tmp_path, capsys, config):
+    @pytest.mark.parametrize("edit", [
+        lambda _: "{not json",
+        lambda _: '{"seed": 1, "frames": "two"}',
+        lambda config: json.dumps(dict(json.loads(config), seed=23.5)),
+    ], ids=["not-json", "bad-value", "wrong-type"])
+    def test_bad_scene_config_reported(self, bench_dir, tmp_path, capsys, edit):
         import shutil
 
         bundle = tmp_path / "bundle"
         shutil.copytree(bench_dir, bundle)
-        _edit_scene_config(bundle, lambda _: config)
+        _edit_scene_config(bundle, edit)
         for args in (["run", "--out", str(tmp_path / "run")], ["eval", "--run", str(tmp_path / "run")]):
             assert cli_main([*args, "--input", str(bundle)]) == 2, args[0]
             err = capsys.readouterr().err

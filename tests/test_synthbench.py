@@ -293,6 +293,15 @@ class TestOracle:
         b = oracle_match(small_bundle, (0, 2), nm, 300, seed=7)
         assert np.array_equal(a.p_x, b.p_x) and np.array_equal(a.conf, b.conf)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(sigma="0.5"), "sigma"),
+        (dict(rho=True), "rho"),
+        (dict(skip_homogeneous=0), "skip_homogeneous"),
+    ])
+    def test_noise_of_the_wrong_type_rejected(self, kwargs, named):
+        with pytest.raises(TypeError, match=named):
+            NoiseModel(**kwargs)
+
 
 class TestOutlierRedraw:
     # a draw misses a sixth to half of the time at 8 and 14; at 30 central
