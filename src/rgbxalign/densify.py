@@ -17,13 +17,8 @@ convex combination and the iteration stays inside the known value range.
 Run at K ascending confidence thresholds, the per-level results feed the
 fusion stage downstream, ranked by each level's mean `reach`.
 
-Each level starts from `init_dense`, an inverse-square-distance fill from
-every void pixel's 4 nearest known pixels. Equally distant anchors are
-ranked by (d2, dr, dc): squared distance, then row offset, then column
-offset, so the anchor above comes before the one to the left. An offset scan
-finds those anchors wherever they lie within its radius; the pixels it
-leaves open, and every pixel of a map too sparse for the scan to pay, take
-their anchors from a k-d tree, whose internal order breaks their ties.
+Each level starts from `init_dense`, which gives every void pixel the value
+of its nearest known pixel, named by one Euclidean distance transform.
 
 The neighborhood sum is one product with a diagonal-sparse operator per
 iteration. `AffinityField` holds the weights only in that layout, built once
@@ -57,8 +52,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 from scipy.sparse import dia_array
-from scipy.spatial import cKDTree
 
 from .errors import DensifyError
 from .imgcore import ConfidenceMap, Image, SparseMap, _check_field_types, gray_array
@@ -212,148 +207,19 @@ def _guidance_weights(rgb: Image) -> np.ndarray:
     return weights
 
 
-# The anchor scan visits offsets out to this radius. It stops at the first
-# shell whose disk the observed known density expects to hold _SCAN_COVER
-# times the anchors a pixel needs, and does not scan at all when that disk
-# would be wider than the radius: there the k-d tree is cheaper than the
-# offsets a pixel would have to visit.
-_SCAN_RADIUS = 6
-_SCAN_COVER = 2.0
-
-
-def _scan_offsets(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d2, dr, dc) of every nonzero offset within `radius`, sorted by (d2, dr, dc)."""
-    span = np.arange(-radius, radius + 1)
-    dr, dc = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
-    d2 = dr * dr + dc * dc
-    sel = (d2 > 0) & (d2 <= radius * radius)
-    order = np.lexsort((dc[sel], dr[sel], d2[sel]))
-    return d2[sel][order], dr[sel][order], dc[sel][order]
-
-
-_SCAN_D2, _SCAN_DR, _SCAN_DC = _scan_offsets(_SCAN_RADIUS)
-
-
-def _scan_anchors(
-    sparse: SparseMap, void_coords: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Nearest anchors of void pixels by scanning offsets in (d2, dr, dc) order.
-
-    Returns (d2, vals, pending): column p of the (k, V) arrays holds the
-    squared distances and values of void pixel p's k nearest anchors,
-    nearest first, for every pixel the scan closes; `pending` indexes the
-    pixels it leaves open, whose columns are to be filled. A pixel closes
-    when k anchors lie within the scanned disk: every offset nearer than its
-    k-th anchor has been visited, so these are its k nearest, and the
-    visiting order breaks distance ties. Returns None, scanning nothing,
-    when the known density is too low for the scan to pay.
-    """
-    n_void = len(void_coords)
-    known = sparse.known
-    density = np.count_nonzero(known) / known.size
-    cover = np.flatnonzero(density * np.arange(1, len(_SCAN_D2) + 1) >= _SCAN_COVER * k)
-    if not cover.size:
-        return None
-    n_offsets = int(np.searchsorted(_SCAN_D2, _SCAN_D2[cover[0]], side="right"))
-    # zero-margined rasters, so that no offset leaves the buffer
-    pad = int(np.abs(_SCAN_DR[:n_offsets]).max())
-    height, width = known.shape
-    stride = width + 2 * pad
-    known_pad = np.zeros((height + 2 * pad, stride), dtype=bool)
-    known_pad[pad : pad + height, pad : pad + width] = known
-    values_pad = np.zeros(known_pad.shape)
-    values_pad[pad : pad + height, pad : pad + width] = sparse.values
-    known_pad = known_pad.ravel()
-    flat_offsets = _SCAN_DR * stride + _SCAN_DC
-
-    origin = (void_coords[:, 0] + pad) * stride + void_coords[:, 1] + pad
-    pending, pos = np.arange(n_void), origin
-    found = np.zeros(n_void, dtype=np.int64)
-    # anchor[i, p] is the offset of pixel p's i-th anchor; row k takes the
-    # hits beyond the k-th of pixels not yet dropped from `pending`
-    anchor = np.zeros((k + 1, n_void), dtype=np.int64)
-    anchor_flat = anchor.reshape(-1)
-    start = 0
-    while start < n_offsets and pending.size:
-        stop = int(np.searchsorted(_SCAN_D2, _SCAN_D2[start], side="right"))
-        for j in range(start, stop):
-            hit = np.flatnonzero(known_pad[pos + flat_offsets[j]])
-            anchor_flat[np.minimum(found[hit], k) * n_void + pending[hit]] = j
-            found[hit] += 1
-        start = stop
-        # dropping closed pixels costs a pass over all scanned ones, so it
-        # waits until a quarter of them have closed
-        still = found < k
-        if 4 * np.count_nonzero(still) <= 3 * len(still):
-            pending, pos, found = pending[still], pos[still], found[still]
-    offsets = anchor[:k]
-    return (_SCAN_D2[offsets].astype(np.float64),
-            values_pad.ravel()[origin + flat_offsets[offsets]], pending[found < k])
-
-
-def _tree_anchors(
-    sparse: SparseMap, coords: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d2, vals) of the k nearest anchors of each pixel at `coords`, as in
-    `_scan_anchors`, from a k-d tree query; the tree's order breaks ties."""
-    known = sparse.known
-    # midpoint splits over the pixel lattice: a third of the balanced
-    # tree's build time, and no slower to query
-    tree = cKDTree(np.argwhere(known), balanced_tree=False, compact_nodes=False)
-    dist, idx = tree.query(coords, k=k, workers=-1)
-    # dist is the correctly rounded root of an integer, so squaring and
-    # rounding recovers that integer exactly
-    dist = np.ascontiguousarray(dist.reshape(len(coords), k).T)
-    np.rint(np.multiply(dist, dist, out=dist), out=dist)
-    return dist, sparse.values[known][idx.reshape(len(coords), k).T]
-
-
-def _idw(d2: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Inverse-square-distance mean of each column's anchors, nearest first.
-
-    Sums the weighted differences from the nearest anchor's value, so a
-    pixel whose anchors share one value takes that value exactly.
-    """
-    w = 1.0 / d2
-    num = np.zeros(d2.shape[1])
-    den = np.zeros(d2.shape[1])
-    for wj, vj in zip(w, vals):
-        num += wj * (vj - vals[0])
-        den += wj
-    return vals[0] + num / den
-
-
 def init_dense(sparse: SparseMap) -> Image:
-    """Inverse-distance-weighted (power 2) fill from the 4 nearest known pixels.
+    """Nearest-anchor fill: each void pixel takes the value of its nearest
+    known pixel, and each known pixel keeps its own.
 
-    Equally distant anchors are ranked by (d2, dr, dc), the smaller row
-    offset first, then the smaller column offset, wherever the offset scan
-    reaches a pixel's 4th anchor: the scan visits offsets within
-    _SCAN_RADIUS when the known density makes that cheaper than a tree
-    query. A void pixel with fewer than 4 anchors inside the scanned disk
-    takes its 4 nearest from a k-d tree query, whose internal order breaks
-    its ties. With fewer than 4 known pixels every one of them is an anchor.
-    Anchors that share one value fill with that value exactly.
+    One Euclidean distance transform names the nearest known pixel of every
+    pixel. Which of several equally distant anchors a pixel takes is up to
+    the transform, but the choice is deterministic.
     """
     known = sparse.known
-    n_known = int(np.count_nonzero(known))
-    if n_known == 0:
+    if not known.any():
         raise DensifyError("cannot initialize from an all-void map")
-    out = np.array(sparse.values, dtype=np.float64)
-    void = ~known
-    if not void.any():
-        return Image(out, units=sparse.units)
-    void_coords = np.argwhere(void)
-    k = min(4, n_known)
-    scanned = _scan_anchors(sparse, void_coords, k)
-    if scanned is None:
-        d2, vals = _tree_anchors(sparse, void_coords, k)
-    else:
-        d2, vals, pending = scanned
-        if pending.size:
-            d2[:, pending], vals[:, pending] = _tree_anchors(sparse, void_coords[pending], k)
-    out[void] = _idw(d2, vals)
-    return Image(out, units=sparse.units)
+    rows, cols = distance_transform_edt(~known, return_distances=False, return_indices=True)
+    return Image(sparse.values[rows, cols], units=sparse.units)
 
 
 def propagate(

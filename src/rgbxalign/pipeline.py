@@ -148,10 +148,14 @@ class RunManifest:
         return sum(1 for f in self.frames if f.status == "failed")
 
     def to_json(self) -> dict:
+        """The manifest's JSON form. `failed` and `filter_worsened`, the sorted
+        ids of the frames whose filtering raised the self-match score, are
+        derived from the records, so `read` ignores them."""
         return {
             "config": self.config,
             "frames": [asdict(f) for f in self.frames],
             "failed": self.failed,
+            "filter_worsened": sorted(f.frame for f in self.frames if f.lsim_after > f.lsim_before),
         }
 
     def write(self, path: str | Path) -> None:
@@ -258,6 +262,10 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     rgb, unreadable_rgb = _load_frames(rgb_paths)
     x, unreadable_x = _load_frames(x_paths)
     masks = _frame_paths(input_dir / "masks")
+    # a colour X frame cannot be accumulated, so it is set aside as an unreadable one is
+    for fid in [f for f, img in x.items() if img.channels != 1]:
+        unreadable_x[fid] = f"{x.pop(fid).channels} channels, X frames must be single-channel"
+        logger.warning("frame %s set aside: %s", fid, unreadable_x[fid])
 
     # only the oracle reads the ground truth; other backends ignore gt/
     if cfg.backend == "oracle":

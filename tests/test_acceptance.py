@@ -42,9 +42,13 @@ from rgbxalign.synthbench import (
     save_bundle,
 )
 
-from .test_densify import reference_recurrence
-from .test_fuse_filter import brute_force_filter
-from .test_matching import brute_force_accumulate, project, random_matchsets
+from .reference import (
+    brute_force_accumulate,
+    brute_force_filter,
+    project,
+    random_matchsets,
+    reference_recurrence,
+)
 
 pytestmark = pytest.mark.acceptance
 

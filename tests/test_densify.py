@@ -20,7 +20,6 @@ from rgbxalign.densify import (
     densify_multilevel,
     init_dense,
     propagate,
-    _scan_anchors,
     reach,
     threshold_sparse,
 )
@@ -28,24 +27,7 @@ from rgbxalign.errors import DensifyError
 from rgbxalign.imgcore import ConfidenceMap, Image, SparseMap
 from rgbxalign.metrics import psnr
 
-
-def reference_recurrence(l0, weights, xm, anchor, iters):
-    """Separately coded scalar loop of the anchored-neighborhood recurrence,
-    on (K, H, W) weights paired with OFFSETS."""
-    cur = l0.copy()
-    height, width = cur.shape
-    for _ in range(iters):
-        nxt = np.zeros_like(cur)
-        for r in range(height):
-            for c in range(width):
-                acc = 0.0
-                for k, (dr, dc) in enumerate(OFFSETS):
-                    rr, cc = r + dr, c + dc
-                    neighbor = cur[rr, cc] if 0 <= rr < height and 0 <= cc < width else 0.0
-                    acc = acc + weights[k, r, c] * neighbor
-                nxt[r, c] = (1.0 - anchor[r, c]) * acc + anchor[r, c] * xm[r, c]
-        cur = nxt
-    return cur
+from .reference import reference_recurrence
 
 
 def random_sparse(rng, shape, frac):
@@ -117,67 +99,39 @@ class TestAffinities:
         AffinityField(weights, ((0, 1), (0, -1)))
 
 
-def idw_reference(d2, vals):
-    """Inverse-square-distance fill of (P, k) anchors, nearest first, row by row."""
-    out = np.empty(len(d2))
-    for p, (dists, values) in enumerate(zip(d2.tolist(), vals.tolist())):
-        num = den = 0.0
-        for dist, value in zip(dists, values):
-            w = 1.0 / dist
-            num += w * (value - values[0])
-            den += w
-        out[p] = values[0] + num / den
-    return out
-
-
-def nearest_by_scan_order(known_coords, known_vals, pixel, k):
-    """Every anchor sorted by (d2, dr, dc) from `pixel`; the first k."""
-    dr = known_coords[:, 0] - pixel[0]
-    dc = known_coords[:, 1] - pixel[1]
-    order = np.lexsort((dc, dr, dr * dr + dc * dc))[:k]
-    return (dr * dr + dc * dc)[order].astype(np.float64), known_vals[order]
-
-
-def check_init_dense(sparse):
-    """init_dense against brute force where the scan closes a pixel, against
-    the k-d tree's 4 nearest elsewhere; returns (closed, handed over)."""
+def check_nearest_anchor(sparse, min_d2=None):
+    """init_dense against brute force: every known pixel keeps its value, and
+    every void pixel takes the value of some known pixel at the least squared
+    distance from it. `min_d2`, when given, holds those least distances, one
+    per void pixel in row-major order, in place of the exhaustive search."""
     out = init_dense(sparse).data
     known = sparse.known
     known_coords = np.argwhere(known)
     known_vals = sparse.values[known]
     void_coords = np.argwhere(~known)
-    k = min(4, len(known_coords))
-    scanned = _scan_anchors(sparse, void_coords, k)
-    pending = np.arange(len(void_coords)) if scanned is None else scanned[2]
-    closed = np.setdiff1d(np.arange(len(void_coords)), pending)
-    if closed.size:
-        anchors = [nearest_by_scan_order(known_coords, known_vals, void_coords[i], k)
-                   for i in closed]
-        expect = idw_reference(np.array([a[0] for a in anchors]), np.array([a[1] for a in anchors]))
-        rows, cols = void_coords[closed].T
-        assert np.array_equal(out[rows, cols], expect)
-    if pending.size:
-        tree = cKDTree(known_coords, balanced_tree=False, compact_nodes=False)
-        _, idx = tree.query(void_coords[pending], k=k)
-        idx = idx.reshape(len(pending), k)
-        offsets = known_coords[idx] - void_coords[pending][:, None, :]
-        expect = idw_reference((offsets * offsets).sum(axis=2).astype(np.float64), known_vals[idx])
-        rows, cols = void_coords[pending].T
-        assert np.array_equal(out[rows, cols], expect)
     assert np.array_equal(out[known], known_vals)
-    return closed.size, pending.size
-
-
-def random_sparse(rng, shape, fraction):
-    counts = (rng.random(shape) < fraction).astype(int)
-    return SparseMap(rng.random(shape) * counts, counts)
+    if min_d2 is None:
+        min_d2 = [((known_coords - pixel) ** 2).sum(axis=1).min() for pixel in void_coords]
+    # the least distance from each void pixel to a known pixel holding its value
+    order = np.argsort(known_vals, kind="stable")
+    void_vals = out[~known]
+    lo = np.searchsorted(known_vals[order], void_vals, side="left")
+    hi = np.searchsorted(known_vals[order], void_vals, side="right")
+    assert np.all(hi > lo)
+    best = np.full(len(void_coords), np.iinfo(np.int64).max)
+    for j in range(int((hi - lo).max(initial=0))):
+        cand = known_coords[order[np.minimum(lo + j, len(order) - 1)]]
+        d2 = ((cand - void_coords) ** 2).sum(axis=1)
+        best = np.where(lo + j < hi, np.minimum(best, d2), best)
+    assert np.array_equal(best, np.asarray(min_d2, dtype=np.int64))
 
 
 class TestAnchorScan:
+    """init_dense's nearest anchors against a scan of every known pixel."""
+
     @pytest.mark.parametrize("shape", [(64, 64), (3, 30), (30, 3)])
     def test_random_map(self, rng, shape):
-        closed, handed = check_init_dense(random_sparse(rng, shape, 0.15 if shape[0] > 3 else 0.3))
-        assert closed > 0
+        check_nearest_anchor(random_sparse(rng, shape, 0.15 if shape[0] > 3 else 0.3))
 
     @pytest.mark.parametrize("n_known", [1, 2, 3])
     def test_fewer_than_four_known(self, rng, n_known):
@@ -186,33 +140,30 @@ class TestAnchorScan:
         flat = rng.choice(120, size=n_known, replace=False)
         counts.flat[flat] = 1
         values.flat[flat] = rng.random(n_known)
-        check_init_dense(SparseMap(values, counts))
+        check_nearest_anchor(SparseMap(values, counts))
 
     def test_void_block_in_dense_map(self, rng):
         counts = (rng.random((96, 96)) < 0.9).astype(int)
         counts[40:72, 20:52] = 0
-        closed, handed = check_init_dense(SparseMap(rng.random((96, 96)) * counts, counts))
-        # the block's rim closes within the scan, its core goes to the tree
-        assert closed > 0 and handed > 0
+        check_nearest_anchor(SparseMap(rng.random((96, 96)) * counts, counts))
 
-    def test_sparse_map_goes_to_the_tree(self, rng):
+    def test_sparse_map_against_tree(self, rng):
         sparse = random_sparse(rng, (512, 512), 0.02)
-        closed, handed = check_init_dense(sparse)
-        assert closed == 0 and handed == sparse.values.size - sparse.num_known
+        tree = cKDTree(np.argwhere(sparse.known))
+        dist, _ = tree.query(np.argwhere(~sparse.known))
+        # dist is the correctly rounded root of an integer
+        check_nearest_anchor(sparse, np.rint(dist * dist).astype(int))
 
-    def test_ties_follow_scan_order(self):
-        # two anchors at d2 = 1 and four at d2 = 2 around (3, 3): of the d2 = 2
-        # ring the two in the row above come first, the left one before the right
+    def test_tie_takes_a_nearest_anchor(self):
+        # (3, 3) has two anchors at d2 = 1 and four at d2 = 2
         values = np.zeros((7, 7))
         counts = np.zeros((7, 7), dtype=int)
         for (r, c), v in {(2, 3): 0.1, (3, 4): 0.2, (2, 2): 0.3, (2, 4): 0.4,
                           (4, 2): 0.5, (4, 4): 0.6}.items():
             values[r, c], counts[r, c] = v, 1
         sparse = SparseMap(values, counts)
-        closed, _ = check_init_dense(sparse)
-        assert closed > 0
-        expect = idw_reference(np.array([[1.0, 1.0, 2.0, 2.0]]), np.array([[0.1, 0.2, 0.3, 0.4]]))
-        assert init_dense(sparse).data[3, 3] == expect[0]
+        check_nearest_anchor(sparse)
+        assert init_dense(sparse).data[3, 3] in (0.1, 0.2)
 
 
 class TestInitDense:
@@ -229,8 +180,10 @@ class TestInitDense:
         counts = np.zeros((9, 9), dtype=int)
         counts[0, 0] = counts[8, 8] = 1
         values[8, 8] = 1.0
-        out = init_dense(SparseMap(values, counts))
-        assert out.data[4, 4] == pytest.approx(0.5, abs=1e-9)
+        out = init_dense(SparseMap(values, counts)).data
+        assert out[1, 1] == 0.0 and out[7, 7] == 1.0
+        # the midpoint is as far from both, so it takes one of them
+        assert out[4, 4] in (0.0, 1.0)
 
     def test_dense_input_identity(self, rng):
         values = rng.random((6, 6))

@@ -29,6 +29,8 @@ from rgbxalign.fuse_filter import (
 from rgbxalign.imgcore import Image
 from rgbxalign.metrics import psnr
 
+from .reference import brute_force_filter
+
 
 def smooth_image(rng, shape=(96, 96), sigma=2.0):
     base = gaussian_filter(rng.random(shape), sigma)
@@ -323,25 +325,6 @@ class TestSelfMatchScore:
         assert self_match_score(SimilarityMatrix(d, tau=1.0)) < self_match_score(
             SimilarityMatrix(a, tau=1.0)
         )
-
-
-def brute_force_filter(diag):
-    """Sort-based re-derivation of q, the threshold, and the rejection set."""
-    d = sorted(diag)
-    n = len(d)
-
-    def q_at(p):
-        h = p * (n - 1)
-        lo = int(np.floor(h))
-        hi = min(lo + 1, n - 1)
-        return d[lo] + (d[hi] - d[lo]) * (h - lo)
-
-    q99 = q_at(0.99)
-    if q99 <= 0:
-        return 1.0, -np.inf, [False] * n
-    q = min(max(q_at(0.5) / q99, 0.0), 1.0)
-    theta = q_at(1.0 - q)
-    return q, theta, [v < theta for v in diag]
 
 
 class TestConcentrationFilter:

@@ -19,58 +19,7 @@ from rgbxalign.matching import (
     warp_image,
 )
 
-
-def project(h, pts):
-    hom = np.column_stack([pts, np.ones(len(pts))])
-    q = hom @ h.T
-    return q[:, :2] / q[:, 2:3]
-
-
-def brute_force_accumulate(sets, x_frames, shape):
-    """Scalar re-evaluation of the accumulation rule, same rounding/sampling."""
-    vsum = np.zeros(shape)
-    csum = np.zeros(shape)
-    count = np.zeros(shape, dtype=np.int64)
-    for ms, x_img in zip(sets, x_frames):
-        data = x_img.data
-        for k in range(len(ms)):
-            r, c = ms.p_x[k]
-            r0 = int(np.clip(np.floor(r), 0, data.shape[0] - 2))
-            c0 = int(np.clip(np.floor(c), 0, data.shape[1] - 2))
-            fr = min(max(r - r0, 0.0), 1.0)
-            fc = min(max(c - c0, 0.0), 1.0)
-            top = (1.0 - fc) * data[r0, c0] + fc * data[r0, c0 + 1]
-            bot = (1.0 - fc) * data[r0 + 1, c0] + fc * data[r0 + 1, c0 + 1]
-            val = (1.0 - fr) * top + fr * bot
-            pi = int(np.floor(ms.p_rgb[k, 0] + 0.5))
-            pj = int(np.floor(ms.p_rgb[k, 1] + 0.5))
-            vsum[pi, pj] = vsum[pi, pj] + val
-            csum[pi, pj] = csum[pi, pj] + ms.conf[k]
-            count[pi, pj] += 1
-    known = count > 0
-    values = np.zeros(shape)
-    conf = np.zeros(shape)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            if known[i, j]:
-                values[i, j] = vsum[i, j] / count[i, j]
-                conf[i, j] = csum[i, j] / count[i, j]
-    return values, count, np.clip(conf, 0.0, 1.0)
-
-
-def random_matchsets(rng, n_sets, n_matches, shape):
-    sets, frames = [], []
-    height, width = shape
-    for s in range(n_sets):
-        p_rgb = np.column_stack(
-            [rng.uniform(0, height - 1, n_matches), rng.uniform(0, width - 1, n_matches)]
-        )
-        p_x = np.column_stack(
-            [rng.uniform(0, height - 1, n_matches), rng.uniform(0, width - 1, n_matches)]
-        )
-        sets.append(MatchSet("t", str(s), p_rgb, p_x, rng.random(n_matches)))
-        frames.append(Image(rng.random(shape)))
-    return sets, frames
+from .reference import brute_force_accumulate, project, random_matchsets
 
 
 class TestMatchSet:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -422,6 +423,19 @@ class TestRun:
         else:
             assert frames[1].status == "failed" and not frames[1].outputs
             assert frames[1].warnings == [f"unreadable RGB frame ({why})"]
+
+    @pytest.mark.parametrize("backend", ["oracle", "classical"])
+    def test_colour_x_frame_counts_as_missing(self, tmp_path, backend):
+        import shutil
+
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=4, modality="nir-like")), inp)
+        shutil.copyfile(inp / "rgb" / "0001.png", inp / "x_raw" / "0001.png")
+        frames = run_pipeline(fast_config(inp, tmp_path / "out", window=3, backend=backend)).frames
+        assert [f.status for f in frames if f.status == "failed"] == []
+        why = "3 channels, X frames must be single-channel"
+        warning = f"X frame 0001 unreadable, treated as missing ({why})"
+        assert [warning in f.warnings for f in frames] == [True, True, True, False]
 
     def test_fallback_ladder(self, tmp_path):
         """On 24 x 48 frames, confident matches densify but cannot be filtered
@@ -854,3 +868,20 @@ def test_manifest_failed_count():
     m = RunManifest(config={}, frames=[FrameRecord("0", status="ok"),
                                        FrameRecord("1", status="failed")])
     assert m.failed == 1
+
+
+def test_manifest_lists_the_frames_filtering_worsened(small_bundle, tmp_path):
+    bundle = tmp_path / "bundle"
+    save_bundle(small_bundle, bundle)
+    for filtering in (True, False):
+        run = tmp_path / f"filtering_{filtering}"
+        frames = run_pipeline(fast_config(bundle, run, window=3, enable_filtering=filtering)).frames
+        written = json.loads((run / "manifest.json").read_text())
+        if filtering:
+            assert all(math.isfinite(f.lsim_after - f.lsim_before) for f in frames)
+            worse = [f.frame for f in frames if f.lsim_after > f.lsim_before]
+            assert written["filter_worsened"] == sorted(worse)
+        else:
+            assert written["filter_worsened"] == []
+        assert [f.frame for f in RunManifest.read(run / "manifest.json").frames] == [
+            f.frame for f in frames]
