@@ -49,12 +49,22 @@ class ColmapModel:
 
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ColmapParseError(f"{path}: not a UTF-8 text file ({exc})") from exc
     lines = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             lines.append((lineno, stripped))
     return lines
+
+
+def _check_finite(path: Path, lineno: int, values: tuple[float, ...]) -> None:
+    # float() reads "nan" and "inf", which no camera or pose may hold
+    if not all(map(math.isfinite, values)):
+        raise ColmapParseError(f"{path}:{lineno}: non-finite value")
 
 
 def _parse_cameras(path: Path) -> dict[int, ColmapCamera]:
@@ -70,6 +80,7 @@ def _parse_cameras(path: Path) -> dict[int, ColmapCamera]:
             params = tuple(float(p) for p in parts[4:])
         except ValueError as exc:
             raise ColmapParseError(f"{path}:{lineno}: {exc}") from exc
+        _check_finite(path, lineno, params)
         # unknown model names are preserved opaquely with their raw params
         cameras[camera_id] = ColmapCamera(camera_id, parts[1], width, height, params)
     return cameras
@@ -93,6 +104,7 @@ def _parse_images(path: Path) -> dict[int, ColmapImage]:
             camera_id = int(parts[8])
         except ValueError as exc:
             raise ColmapParseError(f"{path}:{lineno}: {exc}") from exc
+        _check_finite(path, lineno, qvec + tvec)
         name = parts[9]
         images[image_id] = ColmapImage(image_id, qvec, tvec, camera_id, name)
         # skip the observations line: (X, Y, POINT3D_ID) triples, so a token

@@ -280,14 +280,10 @@ def propagate(
     return Image(current, units=l0.units)
 
 
-def threshold_sparse(
-    sparse: SparseMap, conf: ConfidenceMap, delta: float
-) -> tuple[SparseMap, ConfidenceMap]:
-    """Keep only known pixels whose confidence reaches delta."""
-    keep = sparse.known & (conf.conf >= delta)
-    values = np.where(keep, sparse.values, 0.0)
-    counts = np.where(keep, sparse.counts, 0)
-    return SparseMap(values, counts, sparse.units), ConfidenceMap(np.where(keep, conf.conf, 0.0))
+def threshold_sparse(sparse: SparseMap, conf: ConfidenceMap, delta: float) -> SparseMap:
+    """Keep only known pixels whose confidence reaches delta; the level shares
+    the map's values, and goes with the map's own `conf`."""
+    return SparseMap(sparse.values, sparse.known & (conf.conf >= delta), sparse.units)
 
 
 # `reach` runs at most this many iterations. Its mean only ranks the levels,
@@ -308,11 +304,9 @@ def reach(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, cfg: Densi
     ranks of the levels' mean reach, which a shorter budget than the
     levels' own keeps.
     """
-    field = SparseMap(
-        np.where(sparse.known, conf.conf if cfg.use_confidence else 1.0, 0.0), sparse.counts
-    )
+    start = np.where(sparse.known, conf.conf if cfg.use_confidence else 1.0, 0.0)
     cfg = dataclasses.replace(cfg, iterations=min(REACH_ITERATIONS, cfg.iterations))
-    return propagate(Image(field.values), aff, field, conf, cfg)
+    return propagate(Image(start), aff, SparseMap(start, sparse.known), conf, cfg)
 
 
 def _dense_level(
@@ -393,19 +387,19 @@ def densify_multilevel(
     lone level has nothing to be ranked against, so it gets none.
     """
     cfg = cfg or DensifyConfig()
-    kept: dict[float, tuple[SparseMap, ConfidenceMap]] = {}
+    kept: dict[float, SparseMap] = {}
     for delta in cfg.thresholds:
-        level_sparse, level_conf = threshold_sparse(sparse, conf, delta)
-        if level_sparse.num_known == 0:
+        level = threshold_sparse(sparse, conf, delta)
+        if level.num_known == 0:
             logger.warning("threshold %.3f keeps no pixels; level omitted", delta)
             continue
-        kept[delta] = level_sparse, level_conf
+        kept[delta] = level
     if not kept:
         raise DensifyError("all confidence levels are empty")
-    tasks = [functools.partial(_dense_level, aff, *level, cfg) for level in kept.values()]
+    tasks = [functools.partial(_dense_level, aff, level, conf, cfg) for level in kept.values()]
     ranked = certainty is not None and len(kept) > 1
     if ranked:
-        tasks += [functools.partial(_mean_reach, aff, *level, cfg) for level in kept.values()]
+        tasks += [functools.partial(_mean_reach, aff, level, conf, cfg) for level in kept.values()]
     results = _run_tasks(tasks)
     out = dict(zip(kept, results))
     if ranked:

@@ -431,7 +431,8 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix) -> FilterResult:
     The diagonal's concentration q = Q50/Q99 sets the rejection budget: the
     (1-q)-quantile of the diagonal becomes the threshold, patches strictly
     below it are voided, and survivors carry their min-max-normalized
-    diagonal score as per-pixel confidence for re-densification.
+    diagonal score as per-pixel confidence for re-densification. The
+    filtered map shares the values of `xd`.
     """
     if xd.channels != 1:
         raise FilterError("filtering needs a single-channel image")
@@ -456,17 +457,15 @@ def concentration_and_filter(xd: Image, a: SimilarityMatrix) -> FilterResult:
     span = d_max - d_min
     patch_conf = (d - d_min) / span if span > 1e-12 else np.ones_like(d)
 
-    values = np.zeros((grid.height, grid.width))
-    counts = np.zeros((grid.height, grid.width), dtype=np.int64)
+    kept = np.zeros((grid.height, grid.width), dtype=bool)
     conf = np.zeros((grid.height, grid.width))
     for index in range(grid.patches):
         if not rejected_patches[index]:
             rs, cs = grid.bounds(index)
-            values[rs, cs] = xd.data[rs, cs]
-            counts[rs, cs] = 1
+            kept[rs, cs] = True
             conf[rs, cs] = patch_conf[index]
     return FilterResult(
-        sparse=SparseMap(values, counts, xd.units),
+        sparse=SparseMap(xd.data, kept, xd.units),
         conf=ConfidenceMap(np.clip(conf, 0.0, 1.0)),
         q=q,
         threshold=float(theta),

@@ -104,48 +104,44 @@ class Image:
 class SparseMap:
     """Partially observed X raster.
 
-    A pixel is void iff counts == 0; its value entry is meaningless then.
-    The count, not a sentinel value, marks the void, so every value stays a
-    legal physical value. `units` tags the values as an Image's does, and
-    passes on to the dense rasters made from them.
+    `known` is the boolean support mask (a non-zero entry counts as True): a
+    pixel is void where it is False, and the map's value there, like a
+    confidence there, is never read. The mask, not a sentinel value, marks
+    the void, so a map derived from another, such as a threshold level or
+    the filtered map, can share its parent's values unchanged. `units` tags
+    the values as an Image's does, and passes on to the dense rasters made
+    from them.
     """
 
     values: np.ndarray
-    counts: np.ndarray
+    known: np.ndarray
     units: str = UNITS_NORMALIZED
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if values.ndim != 2 or counts.shape != values.shape:
-            raise ValueError("values and counts must be matching 2-D arrays")
+        known = np.asarray(self.known, dtype=bool)
+        if values.ndim != 2 or known.shape != values.shape:
+            raise ValueError("values and known must be matching 2-D arrays")
         if self.units not in _VALID_UNITS:
             raise ValueError(f"unknown units tag {self.units!r}")
-        if np.any(counts < 0):
-            raise ValueError("negative accumulation count")
-        known = counts > 0
         if not np.all(np.isfinite(values[known])):
             raise ValueError("non-finite value at a known pixel")
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "counts", _freeze(counts))
+        object.__setattr__(self, "known", _freeze(known))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
     @property
-    def known(self) -> np.ndarray:
-        """Boolean mask of non-void pixels."""
-        return self.counts > 0
-
-    @property
     def num_known(self) -> int:
-        return int(np.count_nonzero(self.counts))
+        return int(np.count_nonzero(self.known))
 
 
 @dataclass(frozen=True)
 class ConfidenceMap:
-    """Per-pixel confidence raster in [0, 1]; zero on void pixels."""
+    """Per-pixel confidence raster in [0, 1]. Paired with a SparseMap, its
+    entries at the map's void pixels are never read."""
 
     conf: np.ndarray
 

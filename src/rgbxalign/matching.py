@@ -93,12 +93,9 @@ class Homography:
         h = np.asarray(self.h, dtype=np.float64)
         if h.shape != (3, 3):
             raise ValueError("homography must be 3x3")
-        if abs(h[2, 2]) < 1e-12:
-            raise ValueError("homography h[2,2] too close to zero")
-        h = h / h[2, 2]
-        if abs(np.linalg.det(h)) <= 1e-12:
-            raise ValueError("homography is singular")
-        object.__setattr__(self, "h", _freeze(h))
+        if not _valid_homographies(h):
+            raise ValueError("homography is singular or has h[2,2] too close to zero")
+        object.__setattr__(self, "h", _freeze(h / h[2, 2]))
 
     @staticmethod
     def identity() -> "Homography":
@@ -110,6 +107,15 @@ class Homography:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         """Map (N, 2) (row, col) points through the transform."""
         return _apply_homography(self.h, pts)
+
+
+def _valid_homographies(h: np.ndarray) -> np.ndarray:
+    """Which of the (..., 3, 3) matrices `Homography` accepts: |h[2,2]| >= 1e-12
+    and, scaled to h[2,2] = 1, |det| > 1e-12."""
+    h22 = h[..., 2, 2]
+    ok = np.abs(h22) >= 1e-12
+    scaled = h / np.where(ok, h22, 1.0)[..., None, None]
+    return ok & (np.abs(np.linalg.det(scaled)) > 1e-12)
 
 
 def _apply_homography(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -325,7 +331,7 @@ def accumulate_matches(
     np.divide(vsum, count, out=values, where=known)
     np.divide(csum, count, out=conf, where=known)
     conf = np.clip(conf, 0.0, 1.0)
-    return SparseMap(values, count, *units), ConfidenceMap(conf)
+    return SparseMap(values, known, *units), ConfidenceMap(conf)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +517,7 @@ def estimate_homography(
         h_n, usable = _dlt(src_s, dst_s)
         h = t_dst_inv @ h_n @ t_src
         usable &= ~(_collinear_samples(src_s) | _collinear_samples(dst_s))
-        usable &= (np.abs(h[:, 2, 2]) >= 1e-12) & (np.abs(np.linalg.det(h)) >= 1e-12)
+        usable &= _valid_homographies(h)
         for k in range(len(idx)):
             if drawn == limit:
                 break
@@ -534,7 +540,7 @@ def estimate_homography(
     h_refit, refit_ok = _dlt(src_n[best_mask][None], dst_n[best_mask][None])
     if refit_ok[0]:
         candidate = t_dst_inv @ h_refit[0] @ t_src
-        if abs(candidate[2, 2]) > 1e-12 and abs(np.linalg.det(candidate)) > 1e-12:
+        if _valid_homographies(candidate):
             err = _symmetric_transfer_error(candidate, src_cols, dst_cols)
             mask = err < reproj_thresh
             if mask.sum() >= 4:

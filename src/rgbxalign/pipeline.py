@@ -166,9 +166,30 @@ class RunManifest:
         """Read a manifest that `write` wrote; anything else raises PipelineError."""
         try:
             payload = json.loads(Path(path).read_text())
-            return RunManifest(payload["config"], [FrameRecord(**f) for f in payload["frames"]])
+            config = payload["config"]
+            # `export` reads the two directories of the config echo
+            if not all(isinstance(config[k], str) for k in ("input_dir", "output_dir")):
+                raise TypeError("input_dir and output_dir must be strings")
+            return RunManifest(config, [_read_record(f) for f in payload["frames"]])
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PipelineError(f"{path}: cannot read a run manifest ({exc!r})") from exc
+
+
+def _read_record(record: dict) -> FrameRecord:
+    """The FrameRecord of a manifest's JSON record; TypeError names the first
+    field of the wrong type."""
+    rec = FrameRecord(**record)
+    _check_field_types(rec)
+    for name in ("frame", "status", "fallback"):
+        if not isinstance(getattr(rec, name), str):
+            raise TypeError(f"{name} must be a string, got {getattr(rec, name)!r}")
+    if not isinstance(rec.warnings, list) or not all(isinstance(w, str) for w in rec.warnings):
+        raise TypeError(f"warnings must be a list of strings, got {rec.warnings!r}")
+    # JSON object keys are strings already
+    outputs = rec.outputs
+    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
+        raise TypeError(f"outputs must be an object of strings, got {outputs!r}")
+    return rec
 
 
 def _sha256(path: Path) -> str:
@@ -529,9 +550,9 @@ def export_dataset(
 ) -> dict:
     """Write an aligned multi-view dataset: RGB frames, 16-bit X, poses.
 
-    `name_format` must format every frame id, and every recorded output
-    must exist with its manifest sha256, else PipelineError before anything
-    is written. Frames without a pose in the
+    `name_format` must give every frame id a name of its own, and every
+    recorded output must exist with its manifest sha256, else PipelineError
+    before anything is written. Frames without a pose in the
     COLMAP model or without their RGB source are excluded with a warning;
     no overlap at all is an error. Returns the export mapping manifest.
     """
@@ -542,6 +563,13 @@ def export_dataset(
             f"bad name format {name_format!r} ({type(exc).__name__}: {exc}); "
             "it may use only {frame}, the frame id"
         ) from exc
+    frame_of: dict[str, str] = {}
+    for frame, name in names.items():
+        if frame_of.setdefault(name, frame) != frame:
+            raise PipelineError(
+                f"name format {name_format!r} gives frames {frame_of[name]} and {frame} "
+                f"the same name {name!r}"
+            )
     out = Path(out_dir)
     input_dir = Path(manifest.config["input_dir"])
     run_dir = Path(run_dir if run_dir is not None else manifest.config["output_dir"])

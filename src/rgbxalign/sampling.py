@@ -29,10 +29,10 @@ def area_sample(
 ) -> tuple[SparseMap, ConfidenceMap]:
     """Seed ceil(RATE * |E|) pixels of E = mask & void & warp-valid.
 
-    Drawn uniformly without replacement from `seed`; each drawn pixel takes
-    the warped X value with count 1 and confidence FIXED_CONF. Existing
-    non-void pixels are never touched. An empty eligible set returns the
-    inputs unchanged.
+    Drawn uniformly without replacement from `seed`; each drawn pixel
+    becomes known with the warped X value and confidence FIXED_CONF.
+    Existing non-void pixels are never touched. An empty eligible set
+    returns the inputs unchanged.
     """
     shape = sparse.shape
     for other in (conf.shape, warped_x.shape, validity.shape, area_mask.shape):
@@ -51,9 +51,9 @@ def area_sample(
     rows, cols = np.unravel_index(chosen, shape)
 
     values = np.array(sparse.values)
-    counts = np.array(sparse.counts)
+    known = np.array(sparse.known)
     confidence = np.array(conf.conf)
     values[rows, cols] = warped_x.data[rows, cols]
-    counts[rows, cols] = 1
+    known[rows, cols] = True
     confidence[rows, cols] = FIXED_CONF
-    return SparseMap(values, counts, sparse.units), ConfidenceMap(confidence)
+    return SparseMap(values, known, sparse.units), ConfidenceMap(confidence)

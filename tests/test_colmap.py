@@ -94,3 +94,16 @@ def test_write_parse_round_trip(tmp_path):
     write_colmap_model(model, out)
     again = parse_colmap_model(out)
     assert again == model
+
+
+@pytest.mark.parametrize("file, text, lineno", [
+    ("images", "1 nan 0.0 0.0 0.0 0.0 0.0 0.0 1 a.png\n", 1),
+    ("images", "\n1 1.0 0.0 0.0 0.0 0.0 inf 0.0 1 a.png\n", 2),
+    ("cameras", "1 PINHOLE 640 480 525.0 -inf 320.0 240.0\n", 1),
+], ids=["nan-qvec", "inf-tvec", "inf-camera-param"])
+def test_non_finite_value_rejected(tmp_path, file, text, lineno):
+    # a NaN quaternion would pass the unit-norm check, as abs(nan - 1) > 1e-6
+    # is false
+    write_model(tmp_path, **{file: text})
+    with pytest.raises(ColmapParseError, match=f"{file}.txt:{lineno}: non-finite"):
+        parse_colmap_model(tmp_path)

@@ -355,10 +355,18 @@ class TestMultilevel:
         conf = ConfidenceMap(np.where(sp.known, rng.random((20, 20)), 0.0))
         prev = None
         for delta in (0.15, 0.3, 0.5):
-            level_sp, _ = threshold_sparse(sp, conf, delta)
+            level_sp = threshold_sparse(sp, conf, delta)
             if prev is not None:
                 assert np.all(~level_sp.known | prev)  # level k+1 subset of level k
             prev = level_sp.known
+
+    def test_level_shares_the_values(self, rng):
+        sp = random_sparse(rng, (20, 20), 0.4)
+        conf = ConfidenceMap(np.where(sp.known, rng.random((20, 20)), 0.0))
+        level_sp = threshold_sparse(sp, conf, 0.3)
+        assert np.shares_memory(level_sp.values, sp.values)
+        assert level_sp.known.dtype == bool
+        assert np.array_equal(level_sp.known, sp.known & (conf.conf >= 0.3))
 
 
 def test_config_validation():
@@ -399,7 +407,7 @@ class TestReach:
 
     def test_iterations_capped(self):
         conf = ConfidenceMap(np.where(self.dense.known, 0.6, 0.0))
-        field = SparseMap(np.where(self.dense.known, 0.6, 0.0), self.dense.counts)
+        field = SparseMap(np.where(self.dense.known, 0.6, 0.0), self.dense.known)
 
         def direct(iterations):
             cfg = DensifyConfig(iterations=iterations, tol=0.0)
@@ -467,7 +475,10 @@ class TestHelperThread:
         assert list(main_levels) == list(pool_levels) == [0.15, 0.3, 0.5]
         assert main_cert == pool_cert and list(main_cert) == list(main_levels)
         for delta, img in main_levels.items():
-            level_sp, level_conf = threshold_sparse(sp, conf, delta)
+            level_sp = threshold_sparse(sp, conf, delta)
+            # the level's confidence zeroed off its support gives the same
+            # bits: no computation reads a void pixel's confidence
+            level_conf = ConfidenceMap(np.where(level_sp.known, conf.conf, 0.0))
             serial = real(init_dense(level_sp), aff, level_sp, level_conf, cfg).data
             assert np.array_equal(img.data, serial)
             assert np.array_equal(pool_levels[delta].data, serial)
@@ -476,7 +487,7 @@ class TestHelperThread:
     def test_first_failure_in_task_order_raised(self, small_bundle, monkeypatch):
         aff, sp, conf = bundle_frame(small_bundle, 2)
         real_init = densify.init_dense
-        loose = threshold_sparse(sp, conf, 0.15)[0].num_known
+        loose = threshold_sparse(sp, conf, 0.15).num_known
 
         def failing_init(level_sparse):
             # every level but the loosest fails, naming its known count
@@ -489,7 +500,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(densify, "init_dense", failing_init)
         monkeypatch.setattr(densify, "reach", failing_reach)
-        middle = threshold_sparse(sp, conf, 0.3)[0].num_known
+        middle = threshold_sparse(sp, conf, 0.3).num_known
 
         def run():
             with pytest.raises(DensifyError) as info:
@@ -510,8 +521,8 @@ class TestHelperThread:
             densify_multilevel(aff, sp, conf, cfg, certainty)
             full = []
             for delta in certainty:
-                level_sp, level_conf = threshold_sparse(sp, conf, delta)
-                field = SparseMap(np.where(level_sp.known, level_conf.conf, 0.0), level_sp.counts)
-                full.append(propagate(Image(field.values), aff, field, level_conf, cfg).data.mean())
+                level_sp = threshold_sparse(sp, conf, delta)
+                field = SparseMap(np.where(level_sp.known, conf.conf, 0.0), level_sp.known)
+                full.append(propagate(Image(field.values), aff, field, conf, cfg).data.mean())
             assert len(certainty) == 3
             assert np.array_equal(rankdata(list(certainty.values())), rankdata(full)), n

@@ -79,7 +79,7 @@ class TestAccumulate:
         ms = MatchSet("t", "0", np.array([[10.0, 10.0]]), np.array([[3.0, 3.0]]), np.array([0.9]))
         sp, cf = accumulate_matches([ms], [x], (16, 16))
         assert sp.values[10, 10] == 0.7
-        assert sp.counts[10, 10] == 1
+        assert sp.known[10, 10]
         assert cf.conf[10, 10] == 0.9
         assert sp.num_known == 1
 
@@ -90,8 +90,8 @@ class TestAccumulate:
         m1 = MatchSet("t", "0", np.array([[4.0, 4.0]]), np.array([[2.0, 2.0]]), np.array([1.0]))
         m2 = MatchSet("t", "1", np.array([[4.2, 3.9]]), np.array([[5.0, 5.0]]), np.array([0.5]))
         sp, cf = accumulate_matches([m1, m2], [x1, x2], (8, 8))
+        assert sp.known[4, 4]
         assert sp.values[4, 4] == pytest.approx(0.4)
-        assert sp.counts[4, 4] == 2
         assert cf.conf[4, 4] == pytest.approx(0.75)
 
     def test_wrong_target_rejected(self):
@@ -105,7 +105,7 @@ class TestAccumulate:
         sets, frames = random_matchsets(rng, 5, 150, shape)
         sp, cf = accumulate_matches(sets, frames, shape)
         values, count, conf = brute_force_accumulate(sets, frames, shape)
-        assert np.array_equal(sp.counts, count)
+        assert np.array_equal(sp.known, count > 0)
         assert np.array_equal(sp.values[count > 0], values[count > 0])
         assert np.array_equal(cf.conf, conf)
 
@@ -220,6 +220,33 @@ class TestHomography:
         conf[:nonzero] = 0.5
         with pytest.raises(EstimationFailedError, match="non-zero confidence"):
             estimate_homography(MatchSet("a", "b", src, src + 1.0, conf))
+
+    @pytest.mark.parametrize("spread", [1e-3, 1e-2])
+    def test_collapsed_x_coordinates_give_a_model(self, spread):
+        # X coordinates collapsed onto one point: some models pass a test of
+        # the unscaled determinant but are singular once scaled to
+        # h[2,2] = 1, which made Homography(...) raise ValueError
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            src = rng.uniform(0, 200, (50, 2))
+            dst = 50 + rng.normal(0, spread, (50, 2))
+            hom, mask = estimate_homography(MatchSet("a", "b", src, dst, np.ones(50)))
+            assert mask.sum() >= 4, seed
+
+    def test_one_validity_rule(self):
+        # the batch screen accepts exactly the matrices Homography accepts,
+        # whatever their scale
+        mats = np.stack([np.eye(3), 1e-5 * np.eye(3), np.diag([1.0, 1e-13, 1.0]),
+                         np.diag([1.0, 1.0, 1e-13]), np.diag([1e-7, 1e-7, 1e5])])
+        accepted = []
+        for h in mats:
+            try:
+                Homography(h)
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted == [True, True, False, False, False]
+        assert matching._valid_homographies(mats).tolist() == accepted
 
 
 def count_scored(monkeypatch):

@@ -55,6 +55,11 @@ def _first_match_ending(field):
     return _edit_lines(edit)
 
 
+def _manifest_of(record):
+    """A manifest's JSON text with a valid config echo and one frame record."""
+    return json.dumps({"config": {"input_dir": "in", "output_dir": "run"}, "frames": [record]})
+
+
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "bundle"
@@ -344,6 +349,28 @@ class TestRun:
         warned = {f.frame: f.warnings for f in manifest.frames if f.warnings}
         assert list(warned) == ["0001"]
         assert any("homography estimation failed" in w for w in warned["0001"])
+
+    def test_collapsed_x_matches_fit_a_homography(self, tmp_path, capsys):
+        """Matches whose X coordinates all lie within 1e-3 px of one point
+        give a model, not a ValueError traceback with no manifest."""
+        from rgbxalign.matching import save_matchset
+
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=7, size=64, frames=2, modality="nir-like")), inp)
+        (inp / "matches").mkdir()
+        for n, fid in enumerate(["0000", "0001"]):
+            rng = np.random.default_rng(n)
+            src = rng.uniform(0, 63, (50, 2))
+            dst = 30 + rng.normal(0, 1e-3, (50, 2))
+            save_matchset(MatchSet(fid, fid, src, dst, np.ones(50)),
+                          inp / "matches" / f"{fid}_{fid}.txt")
+        out = tmp_path / "out"
+        code = cli_main(["run", "--input", str(inp), "--out", str(out), "--backend", "file",
+                         "--window", "1"])
+        assert code == 0, capsys.readouterr().err
+        manifest = RunManifest.read(out / "manifest.json")
+        assert [f.status != "failed" and bool(f.outputs) for f in manifest.frames] == [True] * 2
+        assert not any("homography" in w for f in manifest.frames for w in f.warnings)
 
     @pytest.mark.parametrize("backend", ["classical", "oracle"])
     def test_physical_units_carried_to_the_output(self, tmp_path, backend):
@@ -818,9 +845,21 @@ class TestCli:
     @pytest.mark.parametrize("manifest", [
         None,
         "not json",
-        '{"config": {}, "frames": [{"frame": "0000", "colour": "red"}]}',
+        _manifest_of({"frame": "0000", "colour": "red"}),
         '["config", "frames"]',
-    ], ids=["missing", "not-json", "unknown-key", "not-an-object"])
+        _manifest_of({"frame": "0000", "outputs": []}),
+        _manifest_of({"frame": "0000", "outputs": {"x_final/0000.png": 1}}),
+        _manifest_of({"frame": "0000", "warnings": "none"}),
+        _manifest_of({"frame": 0}),
+        _manifest_of({"frame": "0000", "status": None}),
+        _manifest_of({"frame": "0000", "rejected": "3"}),
+        _manifest_of({"frame": "0000", "q": True}),
+        '{"config": [], "frames": []}',
+        '{"config": {"output_dir": "run"}, "frames": []}',
+    ], ids=["missing", "not-json", "unknown-key", "not-an-object", "outputs-not-an-object",
+            "output-hash-not-a-string", "warnings-not-a-list", "frame-not-a-string",
+            "status-not-a-string", "count-not-a-number", "score-a-bool", "config-not-an-object",
+            "config-without-input-dir"])
     def test_export_rejects_bad_manifest(self, tmp_path, capsys, manifest):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -845,6 +884,35 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(name_format) in err
+        assert not (tmp_path / "exp").exists()
+
+    def test_export_rejects_name_format_collisions(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        RunManifest({"input_dir": str(tmp_path), "output_dir": str(run_dir)},
+                    [FrameRecord(f"000{n}", status="ok") for n in range(3)]
+                    ).write(run_dir / "manifest.json")
+        model_dir = minimal_colmap(tmp_path, ["00.png"])
+        code = cli_main(["export", "--run", str(run_dir), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp"), "--name-format", "{frame:.2}.png"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'00.png'" in err and "0000 and 0001" in err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("name", ["cameras.txt", "images.txt"])
+    def test_export_rejects_colmap_file_not_utf8(self, tmp_path, capsys, name):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        RunManifest({"input_dir": str(tmp_path), "output_dir": str(run_dir)},
+                    [FrameRecord("0000", status="ok")]).write(run_dir / "manifest.json")
+        model_dir = minimal_colmap(tmp_path, ["0000.png"])
+        (model_dir / name).write_bytes(b"# \xff\xfe latin-1 comment\n")
+        code = cli_main(["export", "--run", str(run_dir), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(model_dir / name) in err
         assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("edit", [

@@ -1,4 +1,4 @@
-"""Mask-guided area sampling: counts, eligibility, determinism."""
+"""Mask-guided area sampling: draw counts, eligibility, determinism."""
 
 import math
 
@@ -28,7 +28,6 @@ def test_exact_draw_count(rng):
     assert drawn == math.ceil(0.05 * eligible)
     new = out_sp.known & ~sparse.known
     assert np.all(out_cf.conf[new] == 0.3)
-    assert np.all(out_sp.counts[new] == 1)
     assert np.array_equal(out_sp.values[new], warped.data[new])
 
 
@@ -52,7 +51,7 @@ def test_existing_pixels_untouched(rng):
     )
     old = sparse.known
     assert np.array_equal(out_sp.values[old], sparse.values[old])
-    assert np.array_equal(out_sp.counts[old], sparse.counts[old])
+    assert out_sp.known[old].all()
     assert np.array_equal(out_cf.conf[old], conf.conf[old])
 
 
@@ -75,9 +74,9 @@ def test_deterministic(rng):
     area = Mask.full(*sparse.shape)
     a1, c1 = area_sample(sparse, conf, warped, validity, area, seed=5)
     a2, c2 = area_sample(sparse, conf, warped, validity, area, seed=5)
-    assert np.array_equal(a1.counts, a2.counts)
+    assert np.array_equal(a1.known, a2.known)
     a3, _ = area_sample(sparse, conf, warped, validity, area, seed=6)
-    assert not np.array_equal(a1.counts, a3.counts)
+    assert not np.array_equal(a1.known, a3.known)
 
 
 def test_disjoint_masks_compose(rng):
