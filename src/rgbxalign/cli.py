@@ -6,53 +6,47 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fuse_filter
 from .colmap import parse_colmap_model
-from .densify import DensifyConfig, compute_affinities, densify_multilevel
+from .densify import compute_affinities
 from .errors import FilterError, PipelineError, RgbxError
 from .imgcore import Image, load_image, save_image
 from .matching import ClassicalBackend, accumulate_matches, load_matchset, save_matchset
-from .pipeline import PipelineConfig, RunManifest, evaluate_run, export_dataset, run_pipeline
-from .synthbench import SceneConfig, gen_sequence, save_bundle
+from .pipeline import BACKENDS, PipelineConfig, RunManifest, evaluate_run, export_dataset, run_pipeline
+from .synthbench import MODALITIES, SceneConfig, gen_sequence, save_bundle
 
 logger = logging.getLogger(__name__)
 
 
 def _add_synth(sub: argparse._SubParsersAction) -> None:
+    # every flag defaults to SceneConfig's value; dests are its field names
     p = sub.add_parser("synth", help="generate a synthetic ground-truth benchmark bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=256)
-    p.add_argument("--frames", type=int, default=10)
-    p.add_argument("--modality", default="thermal-like",
-                   choices=("thermal-like", "nir-like", "sar-like"))
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--disparities", type=float, nargs="+", default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--size", type=int)
+    p.add_argument("--frames", type=int)
+    p.add_argument("--modality", choices=MODALITIES)
+    p.add_argument("--layers", type=int,
+                   help="without --disparities, spread 0..8 px over the layers")
+    p.add_argument("--disparities", dest="layer_disparities", type=float, nargs="+",
                    help="per-layer RGB->X disparity in px (one value per layer)")
-    p.add_argument("--homogeneous-fraction", type=float, default=0.15)
-    p.add_argument("--corrupt-fraction", type=float, default=0.0)
+    p.add_argument("--homogeneous-fraction", type=float)
+    p.add_argument("--corrupt-fraction", dest="corrupt_patch_fraction", type=float)
     p.set_defaults(func=_cmd_synth)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    disparities = args.disparities
+    given = {f.name: getattr(args, f.name) for f in fields(SceneConfig)
+             if getattr(args, f.name) is not None}
     try:
-        if disparities is None:
-            disparities = [0.0] if args.layers == 1 else list(np.linspace(0.0, 8.0, args.layers))
-        cfg = SceneConfig(
-            seed=args.seed,
-            size=args.size,
-            frames=args.frames,
-            modality=args.modality,
-            layers=args.layers,
-            layer_disparities=tuple(disparities),
-            homogeneous_fraction=args.homogeneous_fraction,
-            corrupt_patch_fraction=args.corrupt_fraction,
-        )
+        if "layers" in given and "layer_disparities" not in given:
+            given["layer_disparities"] = np.linspace(0.0, 8.0, given["layers"])
+        cfg = SceneConfig(**given)
     except ValueError as exc:
         raise PipelineError(f"bad scene: {exc}") from exc
     bundle = gen_sequence(cfg)
@@ -66,7 +60,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--input", required=True, help="directory with rgb/, x/ (or x_raw/), masks/")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file of PipelineConfig fields")
-    p.add_argument("--backend", choices=("oracle", "classical", "file"))
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--seed", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--workers", type=int)
@@ -98,12 +92,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         densify = payload.setdefault("densify", {})
         if isinstance(densify, dict):  # anything else is rejected by the config
             densify["use_confidence"] = False
-    for key in ("backend", "seed", "window", "workers", "dump_levels",
-                "enable_area_sampling", "enable_filtering",
-                "oracle_sigma", "oracle_outliers", "oracle_rho", "oracle_count"):
-        value = getattr(args, key, None)
-        if value is not None:
-            payload[key] = value
+    # flags given win; their dests are field names
+    payload.update({f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                    if getattr(args, f.name, None) is not None})
     cfg = PipelineConfig.from_json(payload)
     manifest = run_pipeline(cfg)
     ok = sum(1 for f in manifest.frames if f.status == "ok")
@@ -134,15 +125,15 @@ def _add_export(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--run", required=True, help="pipeline output directory (with manifest.json)")
     p.add_argument("--model", required=True, help="COLMAP text model directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--name-format", default="{frame}.png")
+    p.add_argument("--name-format")
     p.set_defaults(func=_cmd_export)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     manifest = RunManifest.read(Path(args.run) / "manifest.json")
     model = parse_colmap_model(args.model)
-    result = export_dataset(manifest, model, args.out, run_dir=args.run,
-                            name_format=args.name_format)
+    given = {} if args.name_format is None else {"name_format": args.name_format}
+    result = export_dataset(manifest, model, args.out, run_dir=args.run, **given)
     print(f"exported {len(result['images'])} aligned pairs to {args.out} "
           f"({len(result['warnings'])} warnings)")
     return 0
@@ -176,10 +167,7 @@ def _cmd_densify(args: argparse.Namespace) -> int:
     rgb = load_image(args.rgb)
     ms = load_matchset(args.matches)
     sparse, conf = accumulate_matches([ms], [load_image(args.x)], rgb.shape)
-    certainty: dict[float, float] = {}
-    levels = densify_multilevel(compute_affinities(rgb), sparse, conf, DensifyConfig(), certainty)
-    fused = fuse_filter.fuse_levels(fuse_filter.enhance(list(levels.values()), rgb),
-                                    [certainty[d] for d in levels] if certainty else None)
+    levels, fused = fuse_filter.densify_and_fuse(compute_affinities(rgb), sparse, conf, rgb)
     save_image(fused, args.out, bit_depth=16)
     print(f"densified {sparse.num_known} known pixels over {len(levels)} levels -> {args.out}")
     return 0

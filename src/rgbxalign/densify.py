@@ -86,11 +86,14 @@ class DensifyConfig:
         _check_field_types(self)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        # a JSON list is taken as a tuple
         deltas = tuple(self.thresholds)
+        object.__setattr__(self, "thresholds", deltas)
         if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) for d in deltas):
-            raise TypeError(f"thresholds must be real numbers, got {self.thresholds!r}")
-        if not deltas or list(deltas) != sorted(deltas) or not all(0.0 <= d < 1.0 for d in deltas):
-            raise ValueError("thresholds must be non-empty, ascending and within [0, 1)")
+            raise TypeError(f"thresholds must be real numbers, got {deltas!r}")
+        if (not deltas or list(deltas) != sorted(set(deltas))
+                or not all(0.0 <= d < 1.0 for d in deltas)):
+            raise ValueError("thresholds must be non-empty, strictly ascending and within [0, 1)")
 
 
 class AffinityField:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .densify import AffinityField, DensifyConfig, init_dense, propagate
+from .densify import AffinityField, DensifyConfig, densify_multilevel, init_dense, propagate
 from .errors import FilterError
 from .imgcore import ConfidenceMap, Image, SparseMap, _freeze, gray_array
 from .quantiles import quantile
@@ -192,7 +192,7 @@ def fuse_levels(enhanced: list[Image], certainty: list[float] | None = None) -> 
     Level i weighs the rank of certainty[i] among the levels: 1 for the
     least certain, K for the most certain of K, tied levels sharing the mean
     of their ranks. Without certainties every level weighs the same (the
-    plain mean). The pipeline passes each level's mean `densify.reach`,
+    plain mean). `densify_and_fuse` passes each level's mean `densify.reach`,
     which rises with anchor confidence and falls with anchor spacing. Nested
     levels share most anchors, so their certainties differ by a few percent
     and weights proportional to them would be the plain mean; the ranks
@@ -220,6 +220,16 @@ def fuse_levels(enhanced: list[Image], certainty: list[float] | None = None) -> 
     for w, img in zip(weights, enhanced):
         acc = acc + w * img.data
     return Image(acc / weights.sum(), units=first.units)
+
+
+def densify_and_fuse(aff: AffinityField, sparse: SparseMap, conf: ConfidenceMap, rgb: Image,
+                     cfg: DensifyConfig | None = None) -> tuple[dict[float, Image], Image]:
+    """A frame's `densify_multilevel` levels and their `fuse_levels` fusion,
+    enhanced and ranked by certainty; DensifyError passes through."""
+    certainty: dict[float, float] = {}
+    levels = densify_multilevel(aff, sparse, conf, cfg, certainty)
+    return levels, fuse_levels(enhance(list(levels.values()), rgb),
+                               [certainty[d] for d in levels] if certainty else None)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def _read_png(path: Path) -> tuple[np.ndarray, int]:
     else:
         arr = np.frombuffer(bytes(flat), dtype=">u2").astype(np.uint16)
     arr = arr.reshape((height, width) if channels == 1 else (height, width, 3))
-    return arr.astype(np.int64), depth
+    return arr.astype(np.int64), 2**depth - 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +369,9 @@ def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
             raise ImageIOError(f"{path}: truncated PGM data")
         dtype = ">u2" if maxval > 255 else np.uint8
         arr = np.frombuffer(data, dtype=dtype).astype(np.int64)
-    depth = 16 if maxval > 255 else 8
     if arr.max(initial=0) > maxval:
         raise ImageIOError(f"{path}: sample exceeds declared maxval")
-    return arr.reshape(height, width), depth
+    return arr.reshape(height, width), maxval
 
 
 def _write_pgm(path: Path, arr: np.ndarray, bit_depth: int) -> None:
@@ -435,19 +434,19 @@ def write_units_sidecar(path: Path, desc: UnitsDescriptor) -> None:
 def load_image(path: str | Path) -> Image:
     """Load an 8/16-bit PNG or PGM as an Image.
 
-    Values are scaled to [0, 1] by the format's full scale. If a units
-    sidecar (`<file>.units`) is present, the raw integers instead map
-    linearly to physical values via `raw * scale + offset` and the image
-    carries the sidecar's units tag.
+    Values are scaled to [0, 1] by the file's full scale: 2^depth - 1 for a
+    PNG, the header's maxval for a PGM. If a units sidecar (`<file>.units`) is
+    present, the raw integers instead map linearly to physical values via
+    `raw * scale + offset` and the image carries the sidecar's units tag.
     """
     path = Path(path)
     try:
         with path.open("rb") as fh:
             head = fh.read(2)
         if head == _PNG_SIG[:2]:
-            raw, depth = _read_png(path)
+            raw, full_scale = _read_png(path)
         elif head in (b"P2", b"P5"):
-            raw, depth = _read_pgm(path)
+            raw, full_scale = _read_pgm(path)
         else:
             raise ImageIOError(f"{path}: unrecognized image format")
         sidecar = read_units_sidecar(path)
@@ -458,8 +457,7 @@ def load_image(path: str | Path) -> Image:
         if sidecar is not None:
             data = raw.astype(np.float64) * sidecar.scale + sidecar.offset
             return Image(data, units=sidecar.units)
-        full_scale = float(2**depth - 1)
-        return Image(raw.astype(np.float64) / full_scale, units=UNITS_NORMALIZED)
+        return Image(raw.astype(np.float64) / float(full_scale), units=UNITS_NORMALIZED)
     except ValueError as exc:
         raise ImageIOError(f"{path}: {exc}") from exc
 

@@ -19,19 +19,8 @@ PSNR_INF = float("inf")
 PEAK = 1.0  # full scale of normalized images, which span [0, 1]
 DIAG_PERCENTILES = (30, 50, 70, 90)
 
-REPORT_COLUMNS = (
-    "frame",
-    "psnr",
-    "ssim",
-    "mae",
-    "rmse",
-    "p30",
-    "p50",
-    "p70",
-    "p90",
-    "self_match",
-    "consistency",
-)
+REPORT_COLUMNS = ("frame", "psnr", "ssim", "mae", "rmse", *(f"p{p}" for p in DIAG_PERCENTILES),
+                  "self_match", "consistency")
 
 
 def _check_dims(a: Image, b: Image) -> None:
@@ -107,7 +96,7 @@ class FrameMetrics:
     ssim: float = math.nan
     mae: float = math.nan
     rmse: float = math.nan
-    diag: tuple[float, ...] = (math.nan,) * 4
+    diag: tuple[float, ...] = (math.nan,) * len(DIAG_PERCENTILES)
     self_match: float = math.nan
     consistency: float = math.nan
 

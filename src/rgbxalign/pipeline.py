@@ -24,9 +24,9 @@ import numpy as np
 
 from . import fuse_filter, metrics
 from .colmap import ColmapModel, write_colmap_model
-from .densify import DensifyConfig, compute_affinities, densify_multilevel
+from .densify import DensifyConfig, compute_affinities
 from .errors import DensifyError, EstimationFailedError, ImageIOError, PipelineError, RgbxError
-from .imgcore import Image, Mask, _check_field_types, load_image, save_image
+from .imgcore import Image, Mask, _check_field_types, _sidecar_path, load_image, save_image
 from .matching import (
     Homography,
     MatchSet,
@@ -85,10 +85,7 @@ class PipelineConfig:
             raise ValueError("workers must be >= 1")
         self.oracle_noise()
         if isinstance(self.densify, dict):
-            d = dict(self.densify)
-            if "thresholds" in d:
-                d["thresholds"] = tuple(d["thresholds"])
-            self.densify = DensifyConfig(**d)
+            self.densify = DensifyConfig(**self.densify)
         if not isinstance(self.densify, DensifyConfig):
             raise ValueError("densify must be a DensifyConfig or an object of its fields")
 
@@ -214,10 +211,9 @@ class _OracleAdapter:
         self.noise = noise
         self.count = count
         self.seed = seed
-        self.index = {fid: n for n, fid in enumerate(bundle.frame_ids)}
 
     def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
-        pair = self.index[rgb_frame], self.index[x_frame]
+        pair = self.bundle.frame_index[rgb_frame], self.bundle.frame_index[x_frame]
         return oracle_match(self.bundle, pair, self.noise, self.count, seed=self.seed)
 
 
@@ -270,6 +266,15 @@ def _load_frames(paths: dict[str, Path]) -> tuple[dict[str, Image], dict[str, st
     return images, unreadable
 
 
+def _set_aside(images: dict[str, Image], unusable: dict[str, str], why_unusable) -> None:
+    """Move each frame `why_unusable` gives a reason for from `images` to `unusable`."""
+    for fid, img in list(images.items()):
+        if why := why_unusable(img):
+            del images[fid]
+            unusable[fid] = why
+            logger.warning("frame %s set aside: %s", fid, why)
+
+
 def _load_context(cfg: PipelineConfig) -> _RunContext:
     input_dir = Path(cfg.input_dir)
     rgb_paths = _frame_paths(input_dir / "rgb")
@@ -283,26 +288,22 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     rgb, unreadable_rgb = _load_frames(rgb_paths)
     x, unreadable_x = _load_frames(x_paths)
     masks = _frame_paths(input_dir / "masks")
-    # a colour X frame cannot be accumulated, so it is set aside as an unreadable one is
-    for fid in [f for f, img in x.items() if img.channels != 1]:
-        unreadable_x[fid] = f"{x.pop(fid).channels} channels, X frames must be single-channel"
-        logger.warning("frame %s set aside: %s", fid, unreadable_x[fid])
+    # a colour X frame cannot be accumulated
+    _set_aside(x, unreadable_x, lambda img: "" if img.channels == 1
+               else f"{img.channels} channels, X frames must be single-channel")
 
     # only the oracle reads the ground truth; other backends ignore gt/
     if cfg.backend == "oracle":
         bundle = load_bundle(input_dir)
         backend = _OracleAdapter(bundle, cfg.oracle_noise(), cfg.oracle_count, cfg.seed)
-        unknown = sorted((set(frame_ids) | set(x)) - set(backend.index))
+        unknown = sorted((set(frame_ids) | set(x)) - set(bundle.frame_index))
         if unknown:
             raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
-        # the oracle's matches lie on the bundle's raster, so a frame of
-        # another size is set aside as an unreadable one is
+        # the oracle's matches lie on the bundle's raster
         height, width = bundle.shape
         for images, unusable in ((rgb, unreadable_rgb), (x, unreadable_x)):
-            for fid in [f for f, img in images.items() if img.shape != bundle.shape]:
-                img = images.pop(fid)
-                unusable[fid] = f"{img.height}x{img.width}, the bundle's frames are {height}x{width}"
-                logger.warning("frame %s set aside: %s", fid, unusable[fid])
+            _set_aside(images, unusable, lambda img: "" if img.shape == bundle.shape
+                       else f"{img.height}x{img.width}, the bundle's frames are {height}x{width}")
     elif cfg.backend == "classical":
         backend = ClassicalBackend()
     else:
@@ -384,10 +385,9 @@ def _process_frame(ctx: _RunContext, rec: FrameRecord) -> FrameRecord:
         else:
             rec.warnings.append(f"{mask}; area sampling skipped")
 
-    certainty: dict[float, float] = {}
     try:
         aff = compute_affinities(rgb)
-        levels = densify_multilevel(aff, sparse, conf, cfg.densify, certainty)
+        levels, fused = fuse_filter.densify_and_fuse(aff, sparse, conf, rgb, cfg.densify)
     except DensifyError as exc:
         rec.status = "fallback"
         rec.fallback = "homography-warp"
@@ -397,11 +397,6 @@ def _process_frame(ctx: _RunContext, rec: FrameRecord) -> FrameRecord:
     if len(levels) < len(cfg.densify.thresholds):
         missing = [d for d in cfg.densify.thresholds if d not in levels]
         rec.warnings.append(f"levels omitted (no surviving pixels): {missing}")
-
-    enhanced = fuse_filter.enhance(list(levels.values()), rgb)
-    fused = fuse_filter.fuse_levels(
-        enhanced, [certainty[d] for d in levels] if certainty else None
-    )
     if cfg.dump_levels:
         level_dir = ctx.out_dir / "levels"
         level_dir.mkdir(exist_ok=True)
@@ -508,14 +503,13 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
     out_paths = _frame_paths(run_dir / "x_final")
     if not out_paths:
         raise PipelineError(f"no outputs under {run_dir / 'x_final'}")
-    index = {fid: n for n, fid in enumerate(bundle.frame_ids)}
-    unknown = sorted(set(out_paths) - set(index))
+    unknown = sorted(set(out_paths) - set(bundle.frame_index))
     if unknown:
         raise PipelineError(f"outputs {unknown} are not frames of the benchmark bundle")
     report = metrics.MetricReport()
     outputs: dict[int, Image] = {}
     for fid in sorted(out_paths):
-        idx = index[fid]
+        idx = bundle.frame_index[fid]
         img = load_image(out_paths[fid])
         outputs[idx] = img
         gt = bundle.x_gt[idx]
@@ -530,7 +524,7 @@ def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricRe
         fm.self_match = fuse_filter.self_match_score(sim)
         report.frames.append(fm)
     for fm in report.frames:
-        idx = index[fm.frame]
+        idx = bundle.frame_index[fm.frame]
         if idx + 1 in outputs:
             fm.consistency = consistency_metric([outputs[idx], outputs[idx + 1]], bundle, idx)
     return report
@@ -607,9 +601,9 @@ def export_dataset(
         x_src = run_dir / x_rel
         x_dst = out / "x" / f"{rec.frame}.png"
         shutil.copyfile(x_src, x_dst)
-        sidecar = x_src.with_name(x_src.name + ".units")
+        sidecar = _sidecar_path(x_src)
         if sidecar.exists():
-            shutil.copyfile(sidecar, x_dst.with_name(x_dst.name + ".units"))
+            shutil.copyfile(sidecar, _sidecar_path(x_dst))
         mapping[by_name[name].image_id] = {"name": name, "x": f"x/{rec.frame}.png"}
     for w in warnings:
         logger.warning("%s", w)

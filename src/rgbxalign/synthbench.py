@@ -19,6 +19,7 @@ import functools
 import json
 import logging
 import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -75,6 +76,8 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        # a JSON list or an array is taken as a tuple
+        object.__setattr__(self, "layer_disparities", tuple(self.layer_disparities))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.size < 64:
@@ -85,6 +88,9 @@ class SceneConfig:
             raise ValueError(f"unknown modality {self.modality!r}")
         if self.layers < 1 or len(self.layer_disparities) != self.layers:
             raise ValueError("layer_disparities must provide one value per layer")
+        if not all(isinstance(d, numbers.Real) and math.isfinite(d)
+                   for d in self.layer_disparities):
+            raise ValueError(f"layer_disparities must be finite, got {self.layer_disparities!r}")
         if self.layers >= 2 and len(set(self.layer_disparities)) != self.layers:
             raise ValueError("layer disparities must be distinct")
         if not 0.0 <= self.homogeneous_fraction < 0.9:
@@ -104,8 +110,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma!r}")
         for frac in (self.outlier_fraction, self.rho):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("fractions must lie in [0, 1]")
@@ -322,8 +328,8 @@ class GroundTruthBundle:
 
     maps_rgb[n][l] and maps_x[n][l] are world->frame homographies of layer l
     for the RGB and X sensors; alphas_*[n] stack each layer's rendered
-    coverage in the respective view; layer_maps[n] holds the visible layer
-    index per RGB pixel.
+    coverage in the respective view, from which `_layer_map` derives the
+    visible layer index per RGB pixel.
     """
 
     cfg: SceneConfig
@@ -331,7 +337,6 @@ class GroundTruthBundle:
     x_gt: tuple[Image, ...]
     x_raw: tuple[Image, ...]
     area_masks: tuple[Mask, ...]
-    layer_maps: tuple[np.ndarray, ...]
     alphas_rgb: tuple[np.ndarray, ...]
     alphas_x: tuple[np.ndarray, ...]
     maps_rgb: tuple[tuple[np.ndarray, ...], ...]
@@ -351,8 +356,13 @@ class GroundTruthBundle:
         """File stem of each frame, in frame order (0000, 0001, ...)."""
         return tuple(f"{n:04d}" for n in range(self.frames))
 
+    @functools.cached_property
+    def frame_index(self) -> dict[str, int]:
+        """Frame number of each frame id."""
+        return {fid: n for n, fid in enumerate(self.frame_ids)}
+
     def foreground_mask(self, frame: int) -> Mask:
-        return Mask(self.layer_maps[frame] >= 1)
+        return Mask(_layer_map(self.alphas_rgb[frame]) >= 1)
 
     @functools.cached_property
     def _pixels(self) -> np.ndarray:
@@ -369,7 +379,7 @@ class GroundTruthBundle:
         height, width = self.shape
         pts = self._pixels
         coords = np.zeros((height * width, 2))
-        layer_map = self.layer_maps[i].ravel()
+        layer_map = _layer_map(self.alphas_rgb[i]).ravel()
         for l in range(self.cfg.layers):
             sel = layer_map == l
             if not sel.any():
@@ -413,6 +423,15 @@ class GroundTruthBundle:
     def rgb_correspondence(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Subpixel coords in RGB frame j for each RGB-frame-i pixel, plus validity."""
         return self._field(i, self.maps_rgb, self.alphas_rgb, j)
+
+
+def _layer_map(alphas: np.ndarray) -> np.ndarray:
+    """Per pixel of a (layers, H, W) alpha stack, the front-most layer whose
+    alpha exceeds 0.5, else 0 (the opaque background)."""
+    out = np.zeros(alphas.shape[1:], dtype=np.int64)
+    for l in range(1, len(alphas)):
+        out[alphas[l] > 0.5] = l
+    return out
 
 
 def _layer_stacks(
@@ -555,7 +574,6 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
     x_gt_frames = []
     x_raw_frames = []
     area_masks = []
-    layer_maps = []
     alphas_rgb = []
     alphas_x = []
     for n in range(cfg.frames):
@@ -568,12 +586,7 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
         alphas_rgb.append(a_rgb)
         alphas_x.append(a_x)
 
-        lm = np.zeros((size, size), dtype=np.int64)
-        for l in range(1, cfg.layers):
-            lm[a_rgb[l] > 0.5] = l
-        layer_maps.append(lm)
-
-        area = (homog > 0.5) & (lm == 0)
+        area = (homog > 0.5) & (_layer_map(a_rgb) == 0)
         # erode away from region boundaries, as a careful mask provider
         # would: warped values right at a contrast step are unreliable seeds
         area = binary_erosion(area, iterations=2)
@@ -592,7 +605,6 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
         x_gt=tuple(x_gt_frames),
         x_raw=tuple(x_raw_frames),
         area_masks=tuple(area_masks),
-        layer_maps=tuple(layer_maps),
         alphas_rgb=tuple(alphas_rgb),
         alphas_x=tuple(alphas_x),
         maps_rgb=tuple(maps_rgb),
@@ -832,7 +844,6 @@ def _scene_layout(cfg: SceneConfig) -> dict[str, tuple[tuple[int, ...], type]]:
         "x_gt": ((size, size), np.float64),
         "x_raw": ((size, size), np.float64),
         "area_masks": ((size, size), np.bool_),
-        "layer_maps": ((size, size), np.int64),
         "alphas_rgb": ((layers, size, size), np.float64),
         "alphas_x": ((layers, size, size), np.float64),
         "maps_rgb": ((layers, 3, 3), np.float64),
@@ -887,8 +898,6 @@ def _scene_config(raw: dict, source: Path) -> SceneConfig:
             "regenerate the bundle with `rgbxalign synth`"
         )
     try:
-        if "layer_disparities" in raw:
-            raw["layer_disparities"] = tuple(raw["layer_disparities"])
         return SceneConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise RgbxError(f"{source}: bad scene config ({exc})") from exc
@@ -960,7 +969,6 @@ def _load_scene(path: Path, _size: int, _mtime_ns: int) -> GroundTruthBundle:
         x_gt=tuple(Image(data) for data in arrays["x_gt"]),
         x_raw=tuple(Image(data) for data in arrays["x_raw"]),
         area_masks=masks("area_masks"),
-        layer_maps=arrays["layer_maps"],
         alphas_rgb=arrays["alphas_rgb"],
         alphas_x=arrays["alphas_x"],
         maps_rgb=tuple(tuple(maps) for maps in arrays["maps_rgb"]),

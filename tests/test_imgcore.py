@@ -124,6 +124,16 @@ class TestLoadSave:
         assert img.shape == (2, 3)
         assert img.data[0, 2] == 1.0
 
+    @pytest.mark.parametrize("name, blob, want", [
+        ("p5-maxval-1000", b"P5\n3 1\n1000\n" + np.array([0, 500, 1000], ">u2").tobytes(),
+         [0.0, 0.5, 1.0]),
+        ("p2-maxval-100", b"P2\n3 1\n100\n0 25 100\n", [0.0, 0.25, 1.0]),
+        ("p5-maxval-15", b"P5\n2 1\n15\n" + bytes([3, 15]), [3 / 15, 1.0]),
+    ])
+    def test_pgm_scaled_by_its_maxval(self, tmp_path, name, blob, want):
+        (tmp_path / f"{name}.pgm").write_bytes(blob)
+        assert load_image(tmp_path / f"{name}.pgm").data[0].tolist() == want
+
     def test_pgm_rejects_rgb(self, tmp_path, rng):
         with pytest.raises(ImageIOError):
             save_image(Image(rng.random((4, 4, 3))), tmp_path / "x.pgm")

@@ -744,6 +744,8 @@ class TestCli:
         pytest.param(PipelineConfig, dict(seed=-1), id="seed"),
         pytest.param(PipelineConfig, dict(oracle_count=0), id="oracle_count"),
         pytest.param(PipelineConfig, dict(oracle_sigma=-1.0), id="oracle_sigma"),
+        pytest.param(PipelineConfig, dict(oracle_sigma=math.nan), id="oracle_sigma-nan"),
+        pytest.param(PipelineConfig, dict(oracle_sigma=math.inf), id="oracle_sigma-inf"),
         pytest.param(PipelineConfig, dict(oracle_outliers=-0.1), id="oracle_outliers"),
         pytest.param(PipelineConfig, dict(oracle_rho=1.5), id="oracle_rho"),
         pytest.param(PipelineConfig, dict(workers=0), id="workers"),
@@ -763,6 +765,8 @@ class TestCli:
         ({"workers": 0}, "workers"),
         ({"densify": {"thresholds": []}}, "thresholds"),
         ({"seed": -1}, "seed"),
+        ({"densify": {"thresholds": [0.3, 0.3]}}, "strictly ascending"),
+        ({"oracle_sigma": math.nan}, "sigma"),
     ])
     def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
@@ -781,8 +785,10 @@ class TestCli:
         ({"enable_filtering": "no"}, "enable_filtering"),
         ({"densify": {"use_confidence": "false"}}, "use_confidence"),
         ({"ransac_iters": 500}, "unknown config keys: ransac_iters"),
+        ({"densify": {"thresholds": [0.15, 0.3, 0.3]}}, "strictly ascending"),
+        ({"oracle_sigma": math.nan}, "sigma"),
     ], ids=["seed", "window", "oracle_count", "iterations", "enable_filtering",
-            "use_confidence", "ransac_iters"])
+            "use_confidence", "ransac_iters", "repeated-thresholds", "sigma-nan"])
     def test_bad_config_value_named(self, config, named):
         with pytest.raises(PipelineError, match=named):
             PipelineConfig.from_json(config)
@@ -824,6 +830,71 @@ class TestCli:
         assert cli_main(args) == 0
         assert ran[0].densify == densify
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_run_rejects_bad_oracle_sigma_flag(self, bench_dir, tmp_path, capsys, sigma):
+        code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
+                         f"--oracle-sigma={sigma}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ") and "sigma" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, config", [
+        ([], '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 2, '
+             '"layer_disparities": [0.0, 8.0], "homogeneous_fraction": 0.15, '
+             '"corrupt_patch_fraction": 0.0}'),
+        (["--layers", "3"],
+         '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 3, '
+         '"layer_disparities": [0.0, 4.0, 8.0], "homogeneous_fraction": 0.15, '
+         '"corrupt_patch_fraction": 0.0}'),
+        (["--layers", "1"],
+         '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 1, '
+         '"layer_disparities": [0.0], "homogeneous_fraction": 0.15, '
+         '"corrupt_patch_fraction": 0.0}'),
+    ], ids=["no-flags", "layers-3", "layers-1"])
+    def test_synth_writes_the_scene_config_of_its_flags(self, tmp_path, monkeypatch, args, config):
+        """The scene config a flag set writes, as earlier versions wrote it;
+        the scene itself is a small stand-in, to keep the test fast."""
+        import dataclasses
+
+        from rgbxalign import cli
+
+        small = gen_sequence(SceneConfig(size=64, frames=1))
+        monkeypatch.setattr(cli, "gen_sequence", lambda cfg: dataclasses.replace(small, cfg=cfg))
+        assert cli_main(["synth", "--out", str(tmp_path / "b"), *args]) == 0
+        with np.load(tmp_path / "b" / "gt" / "scene.npz") as npz:
+            assert str(npz["config"]) == config
+
+    def test_densify_writes_the_fused_levels(self, tmp_path, rng):
+        """`rgbxalign densify` writes the fusion of the enhanced levels, each
+        weighted by its certainty rank, as a pipeline frame fuses them."""
+        from scipy.ndimage import gaussian_filter
+
+        from rgbxalign.densify import compute_affinities, densify_multilevel
+        from rgbxalign.fuse_filter import enhance, fuse_levels
+        from rgbxalign.matching import accumulate_matches, load_matchset, save_matchset
+
+        tex = gaussian_filter(rng.random((96, 96)), 1.5)
+        tex = (tex - tex.min()) / (tex.max() - tex.min())
+        save_image(Image(np.stack([tex] * 3, axis=-1)), tmp_path / "rgb.png", bit_depth=8)
+        save_image(Image(tex), tmp_path / "x.png", bit_depth=16)
+        # matches of spread confidence, so that the levels differ
+        pts = rng.uniform(2.0, 93.0, size=(400, 2))
+        save_matchset(MatchSet("0", "0", pts, pts + rng.normal(0.0, 0.3, pts.shape),
+                               rng.uniform(0.0, 1.0, 400)), tmp_path / "m.txt")
+        assert cli_main(["densify", "--rgb", str(tmp_path / "rgb.png"), "--x", str(tmp_path / "x.png"),
+                         "--matches", str(tmp_path / "m.txt"),
+                         "--out", str(tmp_path / "d.png")]) == 0
+        rgb = load_image(tmp_path / "rgb.png")
+        sparse, conf = accumulate_matches([load_matchset(tmp_path / "m.txt")],
+                                          [load_image(tmp_path / "x.png")], rgb.shape)
+        certainty = {}
+        levels = densify_multilevel(compute_affinities(rgb), sparse, conf, DensifyConfig(), certainty)
+        assert len(levels) > 1 and len(set(certainty.values())) > 1
+        fused = fuse_levels(enhance(list(levels.values()), rgb), [certainty[d] for d in levels])
+        save_image(fused, tmp_path / "want.png", bit_depth=16)
+        assert (tmp_path / "d.png").read_bytes() == (tmp_path / "want.png").read_bytes()
+
     def test_run_rejects_missing_config_file(self, bench_dir, tmp_path, capsys):
         code = cli_main(["run", "--input", str(bench_dir), "--out", str(tmp_path / "out"),
                          "--config", str(tmp_path / "missing.json")])
@@ -834,7 +905,10 @@ class TestCli:
         (["--size", "64", "--frames", "1", "--corrupt-fraction", "1.5"], "corrupt_patch_fraction"),
         (["--layers", "3", "--disparities", "1", "2"], "layer_disparities"),
         (["--size", "64", "--frames", "1", "--seed", "-1"], "seed"),
-    ], ids=["size", "corrupt-fraction", "disparities", "seed"])
+        (["--size", "64", "--frames", "1", "--disparities", "nan", "8"], "layer_disparities"),
+        (["--size", "64", "--frames", "1", "--disparities", "0", "inf"], "layer_disparities"),
+    ], ids=["size", "corrupt-fraction", "disparities", "seed", "disparities-nan",
+            "disparities-inf"])
     def test_synth_rejects_bad_scene(self, tmp_path, capsys, args, named):
         code = cli_main(["synth", "--out", str(tmp_path / "b"), *args])
         assert code == 2

@@ -1,6 +1,7 @@
 """Benchmark generator: determinism, ground-truth consistency, oracle, metric."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rgbxalign.synthbench import (
     NoiseModel,
     SceneConfig,
     _build_scene,
+    _layer_map,
     _layer_stacks,
     _pixel_grid,
     _redraw_outliers,
@@ -92,7 +94,7 @@ def field_reference(bundle, i, maps_dst, alphas_dst, j):
     rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     pts = np.column_stack([rows.ravel(), cols.ravel()]).astype(np.float64)
     coords = np.zeros((height * width, 2))
-    layer_map = bundle.layer_maps[i].ravel()
+    layer_map = _layer_map(bundle.alphas_rgb[i]).ravel()
     for l in range(bundle.cfg.layers):
         sel = layer_map == l
         if not sel.any():
@@ -174,7 +176,7 @@ class TestGeneration:
     def test_fields_equal_reference_on_three_layers(self):
         bundle = gen_sequence(SceneConfig(seed=17, size=96, frames=3, modality="thermal-like",
                                           layers=3, layer_disparities=(0.0, 5.0, 10.0)))
-        assert all((bundle.layer_maps[n] == 2).any() for n in range(bundle.frames))
+        assert all((_layer_map(bundle.alphas_rgb[n]) == 2).any() for n in range(bundle.frames))
         for i in range(bundle.frames):
             for j in range(bundle.frames):
                 for field, maps, alphas in (
@@ -247,6 +249,21 @@ class TestGeneration:
             SceneConfig(layers=2, layer_disparities=(4.0, 4.0))
         with pytest.raises(ValueError):
             SceneConfig(modality="laser")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SceneConfig(layers=2, layer_disparities=(bad, 8.0))
+        with pytest.raises(ValueError, match="layer_disparities"):
+            SceneConfig(layers=2, layer_disparities=("0", "8"))
+
+    def test_layer_map_is_the_front_most_half_covering_layer(self):
+        bundle = gen_sequence(SceneConfig(seed=17, size=96, frames=2, modality="thermal-like",
+                                          layers=3, layer_disparities=(0.0, 5.0, 10.0)))
+        for n in range(bundle.frames):
+            want = np.zeros(bundle.shape, dtype=np.int64)
+            for l in (1, 2):
+                want[bundle.alphas_rgb[n][l] > 0.5] = l
+            assert np.array_equal(_layer_map(bundle.alphas_rgb[n]), want)
+            assert np.array_equal(bundle.foreground_mask(n).bits, want >= 1)
 
 
 class TestOracle:
@@ -301,6 +318,11 @@ class TestOracle:
     def test_noise_of_the_wrong_type_rejected(self, kwargs, named):
         with pytest.raises(TypeError, match=named):
             NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseModel(sigma=sigma)
 
 
 class TestOutlierRedraw:
@@ -372,7 +394,7 @@ class TestCorruption:
         assert np.mean(np.abs(out.data[bits] - img.data[bits])) > 0.05
 
 
-BUNDLE_FIELDS = ("rgb", "x_gt", "x_raw", "area_masks", "layer_maps", "alphas_rgb", "alphas_x",
+BUNDLE_FIELDS = ("rgb", "x_gt", "x_raw", "area_masks", "alphas_rgb", "alphas_x",
                  "maps_rgb", "maps_x", "corruption_masks")
 
 
@@ -440,7 +462,7 @@ class TestPersistence:
     def test_frames_own_their_buffers(self, tmp_path):
         save_bundle(gen_sequence(SceneConfig(seed=17, size=64, frames=3)), tmp_path / "b")
         bundle = load_bundle(tmp_path / "b")
-        for name in ("rgb", "x_gt", "x_raw", "area_masks", "layer_maps", "alphas_rgb", "alphas_x"):
+        for name in ("rgb", "x_gt", "x_raw", "area_masks", "alphas_rgb", "alphas_x"):
             arrays = field_arrays(bundle, name)
             for arr in arrays:
                 root = arr
@@ -461,9 +483,10 @@ class TestPersistence:
             members = {k: npz[k] for k in npz.files}
         for change, match in (
             (dict(x_gt=members["x_gt"][:, :32]), "x_gt array"),
-            (dict(layer_maps=members["layer_maps"].astype(np.int32)), "layer_maps array"),
             (dict(alphas_x=members["alphas_x"][:1]), "alphas_x array"),
             (dict(corruption_masks=members["area_masks"]), "members"),
+            # the layer maps that older versions stored
+            (dict(layer_maps=members["area_masks"].astype(np.int64)), "regenerate the bundle"),
         ):
             np.savez(scene, **dict(members, **change))
             with pytest.raises(RgbxError, match=match):
@@ -480,7 +503,7 @@ class TestPersistence:
         assert load_bundle(tmp_path / "b17") is first
         other = load_bundle(tmp_path / "b18")
         assert other is not first and other.cfg.seed == 18
-        for arr in (other.layer_maps[0], other.alphas_rgb[0], other.maps_x[1][0], other.rgb[0].data):
+        for arr in (other.alphas_rgb[0], other.maps_x[1][0], other.rgb[0].data):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
