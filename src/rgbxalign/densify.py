@@ -86,6 +86,9 @@ class DensifyConfig:
         _check_field_types(self)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        # NaN or a negative tol would never stop early, inf after one step
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
         # a JSON list is taken as a tuple
         deltas = tuple(self.thresholds)
         object.__setattr__(self, "thresholds", deltas)
@@ -157,18 +160,10 @@ def _diagonal_span(offset: int, size: int) -> tuple[slice, slice]:
     return slice(start, stop), slice(start - offset, stop - offset)
 
 
-def _shifted(arr: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """arr sampled at (row+dr, col+dc), zero outside."""
-    height, width = arr.shape
-    out = np.zeros_like(arr)
-    # the ends are clamped at 0 so that a shift longer than the raster
-    # selects nothing instead of counting from the far end
-    src_r = slice(max(0, dr), min(height, max(0, height + dr)))
-    dst_r = slice(max(0, -dr), min(height, max(0, height - dr)))
-    src_c = slice(max(0, dc), min(width, max(0, width + dc)))
-    dst_c = slice(max(0, -dc), min(width, max(0, width - dc)))
-    out[dst_r, dst_c] = arr[src_r, src_c]
-    return out
+def _overlap(n: int, d: int) -> tuple[slice, slice]:
+    """Along an axis of length n, the indices whose neighbor d steps on is in
+    bounds, and those neighbors; both empty when |d| >= n."""
+    return slice(max(0, -d), max(0, min(n, n - d))), slice(max(0, d), max(0, min(n, n + d)))
 
 
 def compute_affinities(rgb: Image) -> AffinityField:
@@ -196,12 +191,11 @@ def _guidance_weights(rgb: Image) -> np.ndarray:
     for r in RADII:
         spatial = np.exp(-(r * r) / (2.0 * SIGMA_SPATIAL**2))
         for a, b in _RING:
-            dr, dc = r * a, r * b
-            neighbor = _shifted(g, dr, dc)
-            w = np.exp(-((g - neighbor) ** 2) * inv_color) * spatial
-            # zero where the neighbor falls outside the raster
-            inb = _shifted(np.ones_like(g), dr, dc)
-            weights[k] = w * inb
+            # weighed only where the neighbor is in bounds; zero elsewhere
+            rows, n_rows = _overlap(height, r * a)
+            cols, n_cols = _overlap(width, r * b)
+            diff = g[rows, cols] - g[n_rows, n_cols]
+            weights[k, rows, cols] = np.exp(-(diff**2) * inv_color) * spatial
             k += 1
     total = weights.sum(axis=0)
     if total.min() <= 0.0:

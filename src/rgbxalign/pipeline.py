@@ -10,12 +10,16 @@ marked failed, and the run continues.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
 import logging
 import math
+import os
 import shutil
+import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -449,27 +453,111 @@ def _write_frame_output(ctx: _RunContext, rec: FrameRecord, img: Image) -> None:
     rec.outputs[str(rel)] = _sha256(path)
 
 
+# get/set symbol pairs of an OpenBLAS thread pool: numpy's wheel build
+# (64-bit integers), scipy's wheel build, and a plain build of either width
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_pools() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """(name, get, set) of the thread pool of every OpenBLAS library already
+    mapped into the process; none where there is no /proc/self/maps or no
+    OpenBLAS. Nothing new is loaded."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                parts = line.rstrip("\n").split(None, 5)
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower():
+                    paths.add(parts[5])
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            try:
+                get, put = lib[get_name], lib[set_name]
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            pools.append((os.path.basename(path), get, put))
+            break
+    return pools
+
+
+class _OneBlasThread:
+    """Holds every OpenBLAS pool in the process at one thread while entered.
+
+    An OpenBLAS worker that a large product wakes busy-waits for a while
+    after it, taking a core from the run's own threads (the frame threads
+    and the densify helper). The setting is process-wide, so the first
+    entry in pins the pools and the last one out gives each back its
+    earlier count. Entering returns the names of the pools held. A row of a
+    product is computed the same way on any thread, so no result changes.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._held: list[tuple[str, Callable[[int], None], int]] = []
+
+    def __enter__(self) -> tuple[str, ...]:
+        with self._lock:
+            if self._depth == 0:
+                self._held = [(name, put, get()) for name, get, put in _openblas_pools()]
+                for _, put, _count in self._held:
+                    put(1)
+            self._depth += 1
+            return tuple(name for name, _, _ in self._held)
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for _, put, count in self._held:
+                    put(count)
+                self._held = []
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
-    """Run every stage for every frame; per-frame failures are isolated."""
-    ctx = _load_context(cfg)
-    config = cfg.to_json()
-    # absolute, so that `export` finds the run's input and outputs from any
-    # working directory
-    for key in ("input_dir", "output_dir"):
-        config[key] = str(Path(config[key]).resolve())
-    manifest = RunManifest(config=config)
+    """Run every stage for every frame; per-frame failures are isolated.
 
-    frame = functools.partial(process_frame, ctx)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(frame, range(len(ctx.frame_ids))))
-    else:
-        records = [frame(n) for n in range(len(ctx.frame_ids))]
-    manifest.frames = records
+    OpenBLAS is held at one thread for the whole run, so that its spinning
+    workers leave the cores to the run's own threads.
+    """
+    with _one_blas_thread as pools:
+        logger.debug("BLAS held at one thread: %s", ", ".join(pools) or "no OpenBLAS pool found")
+        ctx = _load_context(cfg)
+        config = cfg.to_json()
+        # absolute, so that `export` finds the run's input and outputs from any
+        # working directory
+        for key in ("input_dir", "output_dir"):
+            config[key] = str(Path(config[key]).resolve())
+        manifest = RunManifest(config=config)
 
-    _write_report_csv(ctx.out_dir / "report.csv", records)
-    manifest.write(ctx.out_dir / "manifest.json")
-    return manifest
+        frame = functools.partial(process_frame, ctx)
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                records = list(pool.map(frame, range(len(ctx.frame_ids))))
+        else:
+            records = [frame(n) for n in range(len(ctx.frame_ids))]
+        manifest.frames = records
+
+        _write_report_csv(ctx.out_dir / "report.csv", records)
+        manifest.write(ctx.out_dir / "manifest.json")
+        return manifest
 
 
 def _write_report_csv(path: Path, records: list[FrameRecord]) -> None:

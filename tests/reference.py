@@ -6,8 +6,8 @@ on another test module collecting.
 
 import numpy as np
 
-from rgbxalign.densify import OFFSETS
-from rgbxalign.imgcore import Image
+from rgbxalign.densify import OFFSETS, RADII, SIGMA_COLOR, SIGMA_SPATIAL
+from rgbxalign.imgcore import Image, gray_array
 from rgbxalign.matching import MatchSet
 
 
@@ -28,6 +28,31 @@ def reference_recurrence(l0, weights, xm, anchor, iters):
                 nxt[r, c] = (1.0 - anchor[r, c]) * acc + anchor[r, c] * xm[r, c]
         cur = nxt
     return cur
+
+
+def reference_guidance_weights(rgb):
+    """The guidance weights computed over whole rasters: each offset's weight
+    at every pixel against a zero-padded shift of the guide, then masked by
+    the shifted in-bounds raster and normalized."""
+    g = gray_array(rgb)
+    height, width = g.shape
+
+    def shifted(arr, dr, dc):
+        out = np.zeros_like(arr)
+        for r in range(height):
+            for c in range(width):
+                if 0 <= r + dr < height and 0 <= c + dc < width:
+                    out[r, c] = arr[r + dr, c + dc]
+        return out
+
+    weights = np.zeros((len(OFFSETS), height, width))
+    inv_color = 1.0 / (2.0 * SIGMA_COLOR**2)
+    for k, (dr, dc) in enumerate(OFFSETS):
+        r = RADII[k // 8]
+        spatial = np.exp(-(r * r) / (2.0 * SIGMA_SPATIAL**2))
+        w = np.exp(-((g - shifted(g, dr, dc)) ** 2) * inv_color) * spatial
+        weights[k] = w * shifted(np.ones_like(g), dr, dc)
+    return weights / weights.sum(axis=0)
 
 
 def brute_force_filter(diag):

@@ -1,5 +1,6 @@
 """Propagation recurrence: affinities, anchoring, convergence, level logic."""
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from rgbxalign.errors import DensifyError
 from rgbxalign.imgcore import ConfidenceMap, Image, SparseMap
 from rgbxalign.metrics import psnr
 
-from .reference import reference_recurrence
+from .reference import reference_guidance_weights, reference_recurrence
 
 
 def random_sparse(rng, shape, frac):
@@ -73,6 +74,13 @@ class TestAffinities:
         for k, (dr, dc) in enumerate(OFFSETS):
             if abs(dr) >= shape[0] or abs(dc) >= shape[1]:
                 assert not weights[k].any()
+
+    @pytest.mark.parametrize("shape", [
+        (3, 30), (2, 9), (30, 9), (5, 17, 3), (64, 100, 3), (257, 129),
+    ], ids=lambda shape: "x".join(map(str, shape)))
+    def test_weights_equal_the_whole_raster_reference(self, rng, shape):
+        rgb = Image(rng.random(shape))
+        assert np.array_equal(_guidance_weights(rgb), reference_guidance_weights(rgb))
 
     def test_guide_too_narrow_for_the_offsets(self, rng):
         with pytest.raises(DensifyError, match="too small"):
@@ -376,6 +384,10 @@ def test_config_validation():
         DensifyConfig(iterations=0)
     with pytest.raises(ValueError):
         DensifyConfig(thresholds=())
+    for tol in (math.nan, -1.0, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            DensifyConfig(tol=tol)
+    assert DensifyConfig(tol=0.0).tol == 0.0
 
 
 class TestReach:

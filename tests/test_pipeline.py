@@ -1,15 +1,19 @@
 """Pipeline orchestration: determinism, isolation, fallbacks, eval, export, CLI."""
 
+import contextlib
 import hashlib
 import json
+import logging
 import math
 import re
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rgbxalign import pipeline
 from rgbxalign.cli import main as cli_main
 from rgbxalign.colmap import parse_colmap_model
 from rgbxalign.densify import DensifyConfig
@@ -152,8 +156,6 @@ class TestRun:
     def test_warp_moves_the_homography_x_frame(self, bench_dir, tmp_path, monkeypatch):
         """A frame without its own X frame warps the X frame its homography maps to."""
         import shutil
-
-        from rgbxalign import pipeline
 
         partial = tmp_path / "partial"
         shutil.copytree(bench_dir, partial)
@@ -533,6 +535,93 @@ class TestRun:
         assert list((tmp_path / "out" / "levels").glob("*.png"))
 
 
+def _blas_counts():
+    """Each mapped OpenBLAS pool's thread count, by library."""
+    return {name: get() for name, get, _ in pipeline._openblas_pools()}
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def two_threads(self):
+        """Each OpenBLAS pool at 2 threads, so that a pin to 1 shows; their
+        own counts come back afterwards."""
+        pools = pipeline._openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS pool is mapped into the process")
+        saved = [(put, get()) for _, get, put in pools]
+        for put, _ in saved:
+            put(2)
+        earlier = _blas_counts()
+        if set(earlier.values()) != {2}:
+            pytest.skip(f"OpenBLAS pools would not take 2 threads: {earlier}")
+        yield earlier
+        for put, count in saved:
+            put(count)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pools_at_one_thread_inside_a_run(self, bench_dir, tmp_path, monkeypatch, caplog,
+                                              two_threads, workers):
+        seen = []
+        real = pipeline.compute_affinities
+
+        def spy(rgb):
+            seen.append(_blas_counts())
+            return real(rgb)
+
+        monkeypatch.setattr(pipeline, "compute_affinities", spy)
+        with caplog.at_level(logging.DEBUG, logger="rgbxalign.pipeline"):
+            run_pipeline(fast_config(bench_dir, tmp_path / "run", workers=workers))
+        assert len(seen) == 6
+        assert all(counts == dict.fromkeys(two_threads, 1) for counts in seen)
+        assert _blas_counts() == two_threads
+        pinned = [r.getMessage() for r in caplog.records if "BLAS held" in r.getMessage()]
+        assert len(pinned) == 1 and all(name in pinned[0] for name in two_threads)
+
+    def test_restored_after_a_failed_run(self, tmp_path, two_threads):
+        with pytest.raises(PipelineError):
+            run_pipeline(fast_config(tmp_path / "nothing", tmp_path / "out"))
+        assert _blas_counts() == two_threads
+
+    def test_nested_pins_restore_at_the_last_exit(self, two_threads):
+        pinned = dict.fromkeys(two_threads, 1)
+        with pipeline._one_blas_thread as outer:
+            assert set(outer) == set(two_threads) and _blas_counts() == pinned
+            with pipeline._one_blas_thread as inner:
+                assert inner == outer
+            assert _blas_counts() == pinned
+        assert _blas_counts() == two_threads
+
+    def test_pins_from_two_threads_restore_at_the_last_exit(self, two_threads):
+        pinned = dict.fromkeys(two_threads, 1)
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def hold():
+            with pipeline._one_blas_thread:
+                entered.set()
+                release.wait(timeout=30)
+                seen.append(_blas_counts())
+
+        other = threading.Thread(target=hold)
+        other.start()
+        assert entered.wait(timeout=30)
+        with pipeline._one_blas_thread:
+            release.set()
+            other.join(timeout=30)
+            assert not other.is_alive()
+            # the other thread left first, so the pools stay pinned
+            assert _blas_counts() == pinned
+        assert seen == [pinned]
+        assert _blas_counts() == two_threads
+
+    def test_unpinned_run_writes_the_same_records(self, bench_dir, tmp_path, monkeypatch,
+                                                  two_threads):
+        pinned = run_pipeline(fast_config(bench_dir, tmp_path / "pinned"))
+        monkeypatch.setattr(pipeline, "_one_blas_thread", contextlib.nullcontext(()))
+        free = run_pipeline(fast_config(bench_dir, tmp_path / "free"))
+        assert pinned.to_json()["frames"] == free.to_json()["frames"]
+
+
 class TestEvaluate:
     def test_report_written(self, bench_dir, tmp_path):
         run_pipeline(fast_config(bench_dir, tmp_path / "run"))
@@ -767,6 +856,9 @@ class TestCli:
         ({"seed": -1}, "seed"),
         ({"densify": {"thresholds": [0.3, 0.3]}}, "strictly ascending"),
         ({"oracle_sigma": math.nan}, "sigma"),
+        ({"densify": {"tol": math.nan}}, "tol"),
+        ({"densify": {"tol": -1.0}}, "tol"),
+        ({"densify": {"tol": math.inf}}, "tol"),
     ])
     def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
