@@ -198,12 +198,14 @@ def _sha256(path: Path) -> str:
 
 
 def _frame_paths(directory: Path) -> dict[str, Path]:
+    """The directory's PNG and PGM files by frame id, their stem; two files
+    of one frame are refused."""
     if not directory.is_dir():
         return {}
     out = {}
     for p in sorted(directory.iterdir()):
-        if p.suffix.lower() in (".png", ".pgm"):
-            out[p.stem] = p
+        if p.suffix.lower() in (".png", ".pgm") and out.setdefault(p.stem, p) != p:
+            raise PipelineError(f"two files for frame {p.stem}: {out[p.stem]} and {p}")
     return out
 
 

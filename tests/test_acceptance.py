@@ -113,7 +113,7 @@ def test_criterion_02_anchoring_and_degeneration(rng):
     assert np.array_equal(out.data, values)
 
     # degeneration to the unblended recurrence, bitwise, 20 instances
-    cfg = DensifyConfig(iterations=4, tol=0.0)
+    cfg = DensifyConfig(iterations=4)
     for trial in range(20):
         counts = (rng.random((16, 16)) < 0.3).astype(int)
         if counts.sum() == 0:

@@ -97,3 +97,29 @@ def test_bench_setup_builds_every_workload(monkeypatch):
     for wl in run.WORKLOADS.values():
         synthbench.SceneConfig(seed=0, **wl["scene"])
         PipelineConfig(**wl["pipeline"])
+
+
+def test_traced_run_fills_every_hook(tmp_path):
+    """A traced run calls every hooked function, and the hooks read what they
+    read off live arguments and results: a hook that reads a deleted
+    attribute, or unpacks a result of another shape, fails only a traced
+    bench run otherwise."""
+    from rgbxalign import pipeline
+    from rgbxalign.synthbench import SceneConfig, gen_sequence, save_bundle
+
+    bundle = tmp_path / "bundle"
+    save_bundle(gen_sequence(SceneConfig(seed=1, size=64, frames=3, modality="nir-like")), bundle)
+    cfg = pipeline.PipelineConfig(input_dir=str(bundle), output_dir=str(tmp_path / "run"),
+                                  backend="oracle", oracle_sigma=0.5, oracle_outliers=0.3,
+                                  oracle_rho=0.8)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        manifest = pipeline.run_pipeline(cfg)
+    finally:
+        tracer.uninstall()
+    assert [f.status for f in manifest.frames] == ["ok"] * 3
+    spans = {s.name for s in tracer.spans}
+    assert not set(TRACER._HOOKS) - spans, sorted(set(TRACER._HOOKS) - spans)
+    assert tracer.counters["densify.propagate.iterations"] > 0
+    assert tracer.counters["densify.propagate.converged"] == 0

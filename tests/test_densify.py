@@ -1,12 +1,12 @@
 """Propagation recurrence: affinities, anchoring, convergence, level logic."""
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.sparse import dia_array
 from scipy.spatial import cKDTree
 from scipy.stats import rankdata
 
@@ -208,9 +208,19 @@ class TestPropagate:
         values = rng.random((16, 16))
         sp = SparseMap(values, np.ones((16, 16), dtype=int))
         aff = compute_affinities(Image(rng.random((16, 16, 3))))
+        steps: list[float] = []
         out = propagate(Image(values), aff, sp, ConfidenceMap(np.ones((16, 16))),
-                        DensifyConfig())
+                        DensifyConfig(), step_sizes=steps)
         assert np.array_equal(out.data, values)
+        # nothing moves, and still every iteration runs
+        assert steps == [0.0] * DensifyConfig().iterations
+
+    def test_non_finite_result_raises(self, rng):
+        sp = random_sparse(rng, (16, 16), 0.3)
+        aff = compute_affinities(Image(rng.random((16, 16, 3))))
+        aff.operator = dia_array((np.full((1, 256), np.nan), [0]), shape=(256, 256))
+        with pytest.raises(DensifyError, match="not finite"):
+            propagate(init_dense(sp), aff, sp, ConfidenceMap(sp.known.astype(float)))
 
     def test_single_anchor_converges(self):
         values = np.zeros((32, 32))
@@ -218,7 +228,7 @@ class TestPropagate:
         values[16, 16] = 1.0
         counts[16, 16] = 1
         sp = SparseMap(values, counts)
-        cfg = DensifyConfig(iterations=200, tol=0.0)
+        cfg = DensifyConfig(iterations=200)
         aff = compute_affinities(Image(np.full((32, 32, 3), 0.5)))
         out = propagate(init_dense(sp), aff, sp, ConfidenceMap(counts.astype(float)), cfg)
         assert np.abs(out.data - 1.0).max() < 0.01
@@ -229,7 +239,7 @@ class TestPropagate:
             sp = random_sparse(rng, (16, 16), 0.3)
             weights = _guidance_weights(Image(rng.random((16, 16, 3))))
             aff = AffinityField(weights.copy(), OFFSETS)
-            cfg = DensifyConfig(iterations=4, tol=0.0)
+            cfg = DensifyConfig(iterations=4)
             mine = propagate(init_dense(sp), aff, sp, ConfidenceMap(np.ones((16, 16))), cfg)
             xm = np.where(sp.known, sp.values, 0.0)
             ref = reference_recurrence(init_dense(sp).data, weights, xm,
@@ -246,7 +256,7 @@ class TestPropagate:
         conf = ConfidenceMap(np.where(sp.known, rng.uniform(0.1, 1.0, shape), 0.0))
         weights = _guidance_weights(Image(rng.random((*shape, 3))))
         aff = AffinityField(weights.copy(), OFFSETS)
-        cfg = DensifyConfig(iterations=6, tol=0.0, use_confidence=use_confidence)
+        cfg = DensifyConfig(iterations=6, use_confidence=use_confidence)
         mine = propagate(init_dense(sp), aff, sp, conf, cfg)
         anchor = sp.known.astype(np.float64)
         if use_confidence:
@@ -294,7 +304,7 @@ class TestPropagate:
 
         ms = oracle_match(small_bundle, (1, 1), NoiseModel(), 1200, seed=0)
         sp, conf = accumulate_matches([ms], [small_bundle.x_raw[1]], small_bundle.shape)
-        cfg = DensifyConfig(tol=0.0)
+        cfg = DensifyConfig()
         steps: list[float] = []
         propagate(init_dense(sp), compute_affinities(small_bundle.rgb[1]), sp,
                   conf, cfg, step_sizes=steps)
@@ -384,10 +394,6 @@ def test_config_validation():
         DensifyConfig(iterations=0)
     with pytest.raises(ValueError):
         DensifyConfig(thresholds=())
-    for tol in (math.nan, -1.0, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="tol"):
-            DensifyConfig(tol=tol)
-    assert DensifyConfig(tol=0.0).tol == 0.0
 
 
 class TestReach:
@@ -422,13 +428,13 @@ class TestReach:
         field = SparseMap(np.where(self.dense.known, 0.6, 0.0), self.dense.known)
 
         def direct(iterations):
-            cfg = DensifyConfig(iterations=iterations, tol=0.0)
+            cfg = DensifyConfig(iterations=iterations)
             return propagate(Image(field.values), self.aff, field, conf, cfg).data
 
         # a budget under the cap keeps its own bits; a larger one stops at the cap
-        low = reach(self.aff, self.dense, conf, DensifyConfig(iterations=8, tol=0.0)).data
+        low = reach(self.aff, self.dense, conf, DensifyConfig(iterations=8)).data
         assert np.array_equal(low, direct(8))
-        high = reach(self.aff, self.dense, conf, DensifyConfig(tol=0.0)).data
+        high = reach(self.aff, self.dense, conf, DensifyConfig()).data
         assert np.array_equal(high, direct(REACH_ITERATIONS))
         assert not np.array_equal(high, direct(24))
 

@@ -530,6 +530,61 @@ class TestRun:
             if a.frame != "0001":
                 assert a.outputs == b.outputs, a.frame
 
+    def test_window_without_x_frames_fails_alone(self, tmp_path):
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3, modality="nir-like")), inp)
+        (inp / "x_raw" / "0001.png").unlink()
+        frames = run_pipeline(fast_config(inp, tmp_path / "out", window=1)).frames
+        assert [f.status for f in frames] == ["ok", "failed", "ok"]
+        assert frames[1].warnings == [
+            "window shrunk to 0 frames", "no X frames available in window"]
+        assert not frames[1].outputs
+
+    def test_level_without_surviving_pixels_is_named(self, tmp_path):
+        """Matches all below 0.9 keep no pixel at that threshold: the frame is
+        densified from its other level and says which one it left out."""
+        from rgbxalign.matching import save_matchset
+        from rgbxalign.synthbench import NoiseModel, oracle_match
+
+        bundle = gen_sequence(SceneConfig(seed=3, size=64, frames=2, modality="nir-like"))
+        inp = tmp_path / "bundle"
+        save_bundle(bundle, inp)
+        (inp / "matches").mkdir()
+        for n, fid in enumerate(bundle.frame_ids):
+            ms = oracle_match(bundle, (n, n), NoiseModel(), 600, seed=3)
+            save_matchset(MatchSet(fid, fid, ms.p_rgb, ms.p_x, np.full(len(ms), 0.5)),
+                          inp / "matches" / f"{fid}_{fid}.txt")
+        cfg = fast_config(inp, tmp_path / "out", backend="file", window=1,
+                          densify=DensifyConfig(thresholds=(0.15, 0.9), **FAST_DENSIFY))
+        frames = run_pipeline(cfg).frames
+        assert [f.status for f in frames] == ["ok", "ok"]
+        for f in frames:
+            assert "levels omitted (no surviving pixels): [0.9]" in f.warnings, f.warnings
+
+    @pytest.mark.parametrize("command", ["run", "eval", "export"])
+    def test_two_files_for_one_frame_refused(self, tmp_path, capsys, command):
+        """A frame id is a file's stem, so 0001.png next to 0001.pgm names one
+        frame twice; the command stops and names both, not keeping one."""
+        import shutil
+
+        inp, run = tmp_path / "bundle", tmp_path / "run"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=2, modality="nir-like")), inp)
+        args = {
+            "run": ["run", "--input", str(inp), "--out", str(run)],
+            "eval": ["eval", "--input", str(inp), "--run", str(run)],
+            "export": ["export", "--run", str(run), "--out", str(tmp_path / "exp"), "--model",
+                       str(minimal_colmap(tmp_path, ["0000.png", "0001.png"]))],
+        }[command]
+        if command != "run":
+            run_pipeline(fast_config(inp, run, window=1))
+        twice = {"run": inp / "x_raw", "eval": run / "x_final", "export": inp / "rgb"}[command]
+        shutil.copyfile(twice / "0001.png", twice / "0001.pgm")
+        capsys.readouterr()
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: two files for frame 0001: ")
+        assert str(twice / "0001.pgm") in err and str(twice / "0001.png") in err
+
     def test_dump_levels(self, bench_dir, tmp_path):
         run_pipeline(fast_config(bench_dir, tmp_path / "out", dump_levels=True))
         assert list((tmp_path / "out" / "levels").glob("*.png"))
@@ -729,6 +784,34 @@ class TestExport:
         assert caplog.text.count("missing RGB source") == 6
         assert not (tmp_path / "c" / "exp2").exists()
 
+    def test_failed_frame_not_exported(self, tmp_path):
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3, modality="nir-like")), inp)
+        (inp / "x_raw" / "0001.png").unlink()
+        manifest = run_pipeline(fast_config(inp, tmp_path / "run", window=1))
+        assert [f.status for f in manifest.frames] == ["ok", "failed", "ok"]
+        model = parse_colmap_model(minimal_colmap(tmp_path, [f"{n:04d}.png" for n in range(3)]))
+        payload = export_dataset(manifest, model, tmp_path / "exp")
+        assert payload["warnings"] == ["frame 0001: no output to export"]
+        assert sorted(v["name"] for v in payload["images"].values()) == ["0000.png", "0002.png"]
+        assert sorted(p.name for p in (tmp_path / "exp" / "x").iterdir()) == ["0000.png", "0002.png"]
+
+    def test_units_sidecar_exported(self, tmp_path):
+        """An X output in physical units goes out with its `.units` file."""
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=2, modality="nir-like")), inp)
+        for x in (inp / "x_raw").glob("*.png"):
+            x.with_name(x.name + ".units").write_text("units celsius\nscale 0.001\noffset 10\n")
+        manifest = run_pipeline(fast_config(inp, tmp_path / "run", window=1))
+        assert [f.status for f in manifest.frames] == ["ok", "ok"]
+        model = parse_colmap_model(minimal_colmap(tmp_path, ["0000.png", "0001.png"]))
+        export_dataset(manifest, model, tmp_path / "exp")
+        for fid in ("0000", "0001"):
+            exported = tmp_path / "exp" / "x" / f"{fid}.png"
+            sidecar = exported.with_name(exported.name + ".units")
+            assert sidecar.read_bytes() == (
+                tmp_path / "run" / "x_final" / f"{fid}.png.units").read_bytes()
+            assert load_image(exported).units == "celsius"
 
     def test_pgm_rgb_sources_exported(self, tmp_path):
         """`export` finds the RGB sources by the rule `run` found them by."""
@@ -856,9 +939,8 @@ class TestCli:
         ({"seed": -1}, "seed"),
         ({"densify": {"thresholds": [0.3, 0.3]}}, "strictly ascending"),
         ({"oracle_sigma": math.nan}, "sigma"),
-        ({"densify": {"tol": math.nan}}, "tol"),
-        ({"densify": {"tol": -1.0}}, "tol"),
-        ({"densify": {"tol": math.inf}}, "tol"),
+        pytest.param({"densify": {"tol": 1e-4}}, "unknown config keys: densify.tol",
+                     id="config12-densify.tol"),
     ])
     def test_run_rejects_bad_config_file(self, bench_dir, tmp_path, capsys, config, named):
         path = tmp_path / "cfg.json"
