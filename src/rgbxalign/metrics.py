@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,6 @@ from .quantiles import quantile
 PSNR_INF = float("inf")
 PEAK = 1.0  # full scale of normalized images, which span [0, 1]
 DIAG_PERCENTILES = (30, 50, 70, 90)
-
-REPORT_COLUMNS = ("frame", "psnr", "ssim", "mae", "rmse", *(f"p{p}" for p in DIAG_PERCENTILES),
-                  "self_match", "consistency")
 
 
 def _check_dims(a: Image, b: Image) -> None:
@@ -101,16 +98,20 @@ class FrameMetrics:
     consistency: float = math.nan
 
     def row(self) -> list:
+        """The field values in REPORT_COLUMNS order, `diag` expanded."""
         return [
-            self.frame,
-            self.psnr,
-            self.ssim,
-            self.mae,
-            self.rmse,
-            *self.diag,
-            self.self_match,
-            self.consistency,
+            v
+            for f in fields(self)
+            for v in (self.diag if f.name == "diag" else [getattr(self, f.name)])
         ]
+
+
+# one column per FrameMetrics field, `diag` expanded into its percentiles
+REPORT_COLUMNS = tuple(
+    col
+    for f in fields(FrameMetrics)
+    for col in ([f"p{p}" for p in DIAG_PERCENTILES] if f.name == "diag" else [f.name])
+)
 
 
 @dataclass
@@ -127,15 +128,14 @@ class MetricReport:
             return float(np.mean(finite))
 
         agg = FrameMetrics(frame="aggregate")
-        agg.psnr = mean_of([f.psnr for f in self.frames])
-        agg.ssim = mean_of([f.ssim for f in self.frames])
-        agg.mae = mean_of([f.mae for f in self.frames])
-        agg.rmse = mean_of([f.rmse for f in self.frames])
-        agg.diag = tuple(
-            mean_of([f.diag[i] for f in self.frames]) for i in range(len(DIAG_PERCENTILES))
-        )
-        agg.self_match = mean_of([f.self_match for f in self.frames])
-        agg.consistency = mean_of([f.consistency for f in self.frames])
+        for f in fields(FrameMetrics):
+            values = [getattr(fm, f.name) for fm in self.frames]
+            if f.name == "diag":
+                agg.diag = tuple(
+                    mean_of([d[i] for d in values]) for i in range(len(DIAG_PERCENTILES))
+                )
+            elif f.name != "frame":
+                setattr(agg, f.name, mean_of(values))
         return agg
 
     def write_csv(self, path: str | Path) -> None:

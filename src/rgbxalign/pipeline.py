@@ -634,9 +634,10 @@ def export_dataset(
 ) -> dict:
     """Write an aligned multi-view dataset: RGB frames, 16-bit X, poses.
 
-    `name_format` must give every frame id a name of its own, and every
-    recorded output must exist with its manifest sha256, else PipelineError
-    before anything is written. Frames without a pose in the
+    `name_format` must give every frame id a name of its own under
+    `images/` (neither absolute nor with a `..` part), and every recorded
+    output must exist with its manifest sha256, else PipelineError before
+    anything is written. Frames without a pose in the
     COLMAP model or without their RGB source are excluded with a warning;
     no overlap at all is an error. Returns the export mapping manifest.
     """
@@ -649,6 +650,11 @@ def export_dataset(
         ) from exc
     frame_of: dict[str, str] = {}
     for frame, name in names.items():
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise PipelineError(
+                f"name format {name_format!r} gives frame {frame} the name {name!r}, "
+                "which leaves the images directory"
+            )
         if frame_of.setdefault(name, frame) != frame:
             raise PipelineError(
                 f"name format {name_format!r} gives frames {frame_of[name]} and {frame} "
@@ -683,10 +689,12 @@ def export_dataset(
             warnings.append(f"frame {rec.frame}: missing RGB source in {input_dir / 'rgb'}")
             no_rgb += 1
             continue
-        # made with the first copy, so an export that exports nothing leaves nothing
-        (out / "images").mkdir(parents=True, exist_ok=True)
+        # made with the first copy, so an export that exports nothing leaves
+        # nothing; a COLMAP name may hold directories (cam0/0000.png)
+        rgb_dst = out / "images" / name
+        rgb_dst.parent.mkdir(parents=True, exist_ok=True)
         (out / "x").mkdir(exist_ok=True)
-        shutil.copyfile(rgb_src, out / "images" / name)
+        shutil.copyfile(rgb_src, rgb_dst)
         x_rel = next(iter(rec.outputs))
         x_src = run_dir / x_rel
         x_dst = out / "x" / f"{rec.frame}.png"

@@ -685,50 +685,29 @@ def _redraw_outliers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform positions at least `min_dist` from each row of `truth`.
 
-    Consumes `rng` exactly as drawing (row, col) pairs one at a time would:
-    row after row of `truth`, each taking draws until one lands far enough
-    or _REDRAW_TRIES have missed. Each round draws one pair per row still
-    pending and hands the pairs out in that order, so it never draws a pair
-    the one-at-a-time loop would not. Returns the positions and the mask of
-    rows that got one.
+    Redraws from `rng` one (row, col) pair per draw: row after row of
+    `truth`, each taking draws until one lands far enough or _REDRAW_TRIES
+    have missed. Each round draws one pair per row still pending and hands
+    them out in order, so `rng` ends where a one-at-a-time loop leaves it
+    and the result does not depend on how the draws are batched. Returns
+    the positions and the mask of rows that got one.
     """
     height, width = shape
     drawn = np.zeros_like(truth)
     ok = np.zeros(len(truth), dtype=bool)
-
-    def far(cand: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(cand - truth[rows], axis=-1) >= min_dist
-
-    pending = np.arange(len(truth))
-    missed = 0  # misses of pending[0]; the rows after it have none yet
-    while pending.size:
-        cand = rng.uniform(0.0, np.tile([height - 1.0, width - 1.0], (pending.size, 1)))
-        pos = row = 0
-        while pos < len(cand):
-            # rows row, row+1, ... take draws pos, pos+1, ... while these land
-            span = len(cand) - pos
-            hits = far(cand[pos:], pending[row : row + span])
-            run = span if hits.all() else int(np.argmin(hits))
-            ok[pending[row : row + run]] = True
-            drawn[pending[row : row + run]] = cand[pos : pos + run]
-            pos, row = pos + run, row + run
-            if run:
-                missed = 0
-            if pos == len(cand):
-                break
-            # draw pos misses: this row takes the next draws until one lands
-            tries = min(len(cand) - pos, _REDRAW_TRIES - missed)
-            hits = far(cand[pos : pos + tries], pending[row])
-            if hits.any():
-                pos += int(np.argmax(hits))
-                ok[pending[row]] = True
-                drawn[pending[row]] = cand[pos]
-                pos, row, missed = pos + 1, row + 1, 0
+    targets = truth.tolist()
+    row = missed = 0  # the row taking draws, and its misses so far
+    while row < len(truth):
+        for r, c in rng.uniform(0.0, (height - 1.0, width - 1.0), (len(truth) - row, 2)).tolist():
+            tr, tc = targets[row]
+            dr, dc = r - tr, c - tc
+            if math.sqrt(dr * dr + dc * dc) >= min_dist:
+                drawn[row], ok[row] = (r, c), True
             else:
-                pos, missed = pos + tries, missed + tries
-                if missed == _REDRAW_TRIES:
-                    row, missed = row + 1, 0
-        pending = pending[row:]
+                missed += 1
+                if missed < _REDRAW_TRIES:
+                    continue
+            row, missed = row + 1, 0
     return drawn, ok
 
 

@@ -796,6 +796,20 @@ class TestExport:
         assert sorted(v["name"] for v in payload["images"].values()) == ["0000.png", "0002.png"]
         assert sorted(p.name for p in (tmp_path / "exp" / "x").iterdir()) == ["0000.png", "0002.png"]
 
+    def test_names_with_a_directory_exported(self, tmp_path):
+        """COLMAP image names may hold a directory: cam0/0000.png."""
+        inp = tmp_path / "bundle"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3, modality="nir-like")), inp)
+        run_pipeline(fast_config(inp, tmp_path / "run", window=1))
+        names = [f"cam0/{n:04d}.png" for n in range(3)]
+        model_dir = minimal_colmap(tmp_path, names)
+        assert cli_main(["export", "--run", str(tmp_path / "run"), "--model", str(model_dir),
+                         "--out", str(tmp_path / "exp"), "--name-format", "cam0/{frame}.png"]) == 0
+        exported = sorted(p.name for p in (tmp_path / "exp" / "images" / "cam0").iterdir())
+        assert exported == ["0000.png", "0001.png", "0002.png"]
+        payload = json.loads((tmp_path / "exp" / "dataset.json").read_text())
+        assert sorted(v["name"] for v in payload["images"].values()) == names
+
     def test_units_sidecar_exported(self, tmp_path):
         """An X output in physical units goes out with its `.units` file."""
         inp = tmp_path / "bundle"
@@ -1120,7 +1134,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
 
-    @pytest.mark.parametrize("name_format", ["{idx}.png", "{frame:d}.png", "{0}.png", "{frame"])
+    # the last two would write outside --out
+    @pytest.mark.parametrize("name_format", ["{idx}.png", "{frame:d}.png", "{0}.png", "{frame",
+                                             "../{frame}.png", "/tmp/{frame}.png"])
     def test_export_rejects_bad_name_format(self, tmp_path, capsys, name_format):
         run_dir = tmp_path / "run"
         run_dir.mkdir()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion
 
+from rgbxalign import synthbench
 from rgbxalign.errors import MetricError, RgbxError
 from rgbxalign.fuse_filter import PatchGrid
 from rgbxalign.imgcore import Image, Mask, bilinear_sample
@@ -325,15 +326,24 @@ class TestOracle:
             NoiseModel(sigma=sigma)
 
 
-class TestOutlierRedraw:
+def redraw_cases():
     # a draw misses a sixth to half of the time at 8 and 14; at 30 central
     # outliers hit the try cap and corner ones get through; 60 is beyond
     # the image diagonal, so every outlier hits the cap
-    @pytest.mark.parametrize("min_dist", [8.0, 14.0, 30.0, 60.0])
-    @pytest.mark.parametrize("count", [0, 1, 7, 300])
-    def test_same_draws_as_one_at_a_time(self, min_dist, count):
-        shape = (24, 40)
-        truth = np.random.default_rng(count).uniform(0.0, [23.0, 39.0], (count, 2))
+    for count in (0, 1, 7, 300):
+        for min_dist in (8.0, 14.0, 30.0, 60.0):
+            yield pytest.param((24, 40), min_dist, count, id=f"{count}-{min_dist}")
+    # the benchmark's regime, 900 outliers of 3000 matches at 8 px, where
+    # few draws miss; and 40 px on 64x64, where two draws in three miss
+    yield pytest.param((256, 256), 8.0, 900, id="256x256-900-8.0")
+    yield pytest.param((64, 64), 40.0, 2700, id="64x64-2700-40.0")
+
+
+class TestOutlierRedraw:
+    @pytest.mark.parametrize("shape, min_dist, count", redraw_cases())
+    def test_same_draws_as_one_at_a_time(self, shape, min_dist, count):
+        height, width = shape
+        truth = np.random.default_rng(count).uniform(0.0, [height - 1.0, width - 1.0], (count, 2))
         rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
         want, want_ok = redraw_one_at_a_time(rng_ref, truth, shape, min_dist)
         got, got_ok = _redraw_outliers(rng, truth, shape, min_dist)
@@ -342,6 +352,18 @@ class TestOutlierRedraw:
         assert rng.random() == rng_ref.random()
         if min_dist == 60.0:
             assert not got_ok.any()
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(sigma=0.5, outlier_fraction=0.3, rho=0.8),  # the acceptance suite's trend
+        NoiseModel(sigma=3.0, outlier_fraction=0.9, rho=0.8),
+    ], ids=["trend", "sigma3-outliers90"])
+    def test_oracle_matches_as_one_at_a_time(self, noise, monkeypatch):
+        bundle = gen_sequence(SceneConfig(seed=3, size=256, frames=2))
+        got = oracle_match(bundle, (0, 1), noise, 3000, seed=1)
+        monkeypatch.setattr(synthbench, "_redraw_outliers", redraw_one_at_a_time)
+        want = oracle_match(bundle, (0, 1), noise, 3000, seed=1)
+        for name in ("p_rgb", "p_x", "conf"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestConsistencyMetric:
