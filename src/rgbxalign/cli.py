@@ -36,7 +36,6 @@ def _add_synth(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--disparities", dest="layer_disparities", type=float, nargs="+",
                    help="per-layer RGB->X disparity in px (one value per layer)")
     p.add_argument("--homogeneous-fraction", type=float)
-    p.add_argument("--corrupt-fraction", dest="corrupt_patch_fraction", type=float)
     p.set_defaults(func=_cmd_synth)
 
 

@@ -41,9 +41,7 @@ from .matching import (
     warp_image,
 )
 from .sampling import area_sample
-from .synthbench import (
-    GroundTruthBundle, NoiseModel, consistency_metric, load_bundle, oracle_match,
-)
+from .synthbench import NoiseModel, consistency_metric, load_bundle, oracle_match
 
 logger = logging.getLogger(__name__)
 
@@ -209,35 +207,6 @@ def _frame_paths(directory: Path) -> dict[str, Path]:
     return out
 
 
-class _OracleAdapter:
-    """Serves ground-truth matches from a benchmark bundle."""
-
-    def __init__(self, bundle: GroundTruthBundle, noise: NoiseModel, count: int, seed: int):
-        self.bundle = bundle
-        self.noise = noise
-        self.count = count
-        self.seed = seed
-
-    def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
-        pair = self.bundle.frame_index[rgb_frame], self.bundle.frame_index[x_frame]
-        return oracle_match(self.bundle, pair, self.noise, self.count, seed=self.seed)
-
-
-class _FileAdapter:
-    """Loads cached or externally produced match files."""
-
-    def __init__(self, matches_dir: Path):
-        self.matches_dir = matches_dir
-
-    def match_pair(self, rgb: Image, x: Image, rgb_frame: str, x_frame: str) -> MatchSet:
-        path = self.matches_dir / f"{rgb_frame}_{x_frame}.txt"
-        if not path.exists():
-            return MatchSet(rgb_frame, x_frame, warnings=(f"no match file {path.name}",))
-        # `rgbxalign match` writes the header "0 0"; the file name names the frames
-        ms = load_matchset(path)
-        return MatchSet(rgb_frame, x_frame, ms.p_rgb, ms.p_x, ms.conf)
-
-
 @dataclass
 class _RunContext:
     cfg: PipelineConfig
@@ -245,7 +214,8 @@ class _RunContext:
     rgb: dict[str, Image]
     x: dict[str, Image]
     masks: dict[str, Path]
-    backend: object
+    # the backend's matches of an RGB frame against an X frame, by their ids
+    match: Callable[[str, str], MatchSet]
     out_dir: Path
     # frame id -> why its file could not be read or used; such a frame is
     # left out of `rgb` or `x`
@@ -301,7 +271,7 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
     # only the oracle reads the ground truth; other backends ignore gt/
     if cfg.backend == "oracle":
         bundle = load_bundle(input_dir)
-        backend = _OracleAdapter(bundle, cfg.oracle_noise(), cfg.oracle_count, cfg.seed)
+        noise = cfg.oracle_noise()
         unknown = sorted((set(frame_ids) | set(x)) - set(bundle.frame_index))
         if unknown:
             raise PipelineError(f"frames {unknown} are not in the benchmark bundle")
@@ -310,14 +280,30 @@ def _load_context(cfg: PipelineConfig) -> _RunContext:
         for images, unusable in ((rgb, unreadable_rgb), (x, unreadable_x)):
             _set_aside(images, unusable, lambda img: "" if img.shape == bundle.shape
                        else f"{img.height}x{img.width}, the bundle's frames are {height}x{width}")
+
+        def match(rgb_id: str, x_id: str) -> MatchSet:
+            pair = bundle.frame_index[rgb_id], bundle.frame_index[x_id]
+            return oracle_match(bundle, pair, noise, cfg.oracle_count, seed=cfg.seed)
     elif cfg.backend == "classical":
-        backend = ClassicalBackend()
+        classical = ClassicalBackend()
+
+        def match(rgb_id: str, x_id: str) -> MatchSet:
+            return classical.match_pair(rgb[rgb_id], x[x_id], rgb_id, x_id)
     else:
-        backend = _FileAdapter(input_dir / "matches")
+        matches_dir = input_dir / "matches"
+
+        def match(rgb_id: str, x_id: str) -> MatchSet:
+            # cached or externally produced match files
+            path = matches_dir / f"{rgb_id}_{x_id}.txt"
+            if not path.exists():
+                return MatchSet(rgb_id, x_id, warnings=(f"no match file {path.name}",))
+            # `rgbxalign match` writes the header "0 0"; the file name names the frames
+            ms = load_matchset(path)
+            return MatchSet(rgb_id, x_id, ms.p_rgb, ms.p_x, ms.conf)
 
     out_dir = Path(cfg.output_dir)
     (out_dir / "x_final").mkdir(parents=True, exist_ok=True)
-    return _RunContext(cfg, frame_ids, rgb, x, masks, backend, out_dir, unreadable_rgb, unreadable_x)
+    return _RunContext(cfg, frame_ids, rgb, x, masks, match, out_dir, unreadable_rgb, unreadable_x)
 
 
 def _window(ctx: _RunContext, k: int) -> tuple[list[str], list[str]]:
@@ -366,7 +352,7 @@ def _process_frame(ctx: _RunContext, rec: FrameRecord) -> FrameRecord:
         rec.warnings.append("no X frames available in window")
         return rec
 
-    sets = [ctx.backend.match_pair(rgb, ctx.x[m], fid, m) for m in window]
+    sets = [ctx.match(fid, m) for m in window]
     for ms in sets:
         rec.warnings.extend(ms.warnings)
     sparse, conf = accumulate_matches(sets, [ctx.x[m] for m in window], shape)
@@ -583,16 +569,22 @@ def _write_report_csv(path: Path, records: list[FrameRecord]) -> None:
 
 
 def evaluate_run(input_dir: str | Path, run_dir: str | Path) -> metrics.MetricReport:
-    """Score a run's aligned X outputs against the bundle's ground truth.
+    """Score the aligned X outputs a run's manifest records against the
+    bundle's ground truth.
 
-    Each output is scored against the bundle frame of the same id; its
-    consistency is scored only when the next bundle frame has an output too.
+    Each recorded output is scored against the bundle frame of the same id;
+    one that is missing is not scored, nor is any file the manifest does not
+    record. A frame's consistency is scored only when the next bundle frame
+    has a scored output too. A run without a readable manifest raises
+    PipelineError.
     """
     bundle = load_bundle(input_dir)
     run_dir = Path(run_dir)
-    out_paths = _frame_paths(run_dir / "x_final")
+    manifest = RunManifest.read(run_dir / "manifest.json")
+    out_paths = {rec.frame: run_dir / rel for rec in manifest.frames for rel in rec.outputs
+                 if (run_dir / rel).is_file()}
     if not out_paths:
-        raise PipelineError(f"no outputs under {run_dir / 'x_final'}")
+        raise PipelineError(f"no recorded outputs under {run_dir}")
     unknown = sorted(set(out_paths) - set(bundle.frame_index))
     if unknown:
         raise PipelineError(f"outputs {unknown} are not frames of the benchmark bundle")
@@ -639,7 +631,8 @@ def export_dataset(
     output must exist with its manifest sha256, else PipelineError before
     anything is written. Frames without a pose in the
     COLMAP model or without their RGB source are excluded with a warning;
-    no overlap at all is an error. Returns the export mapping manifest.
+    no overlap at all is an error. The `sparse/` model keeps every camera
+    and lists the exported images only. Returns the export mapping manifest.
     """
     try:
         names = {rec.frame: name_format.format(frame=rec.frame) for rec in manifest.frames}
@@ -708,7 +701,9 @@ def export_dataset(
     if not mapping:
         why = f"; {no_rgb} frames lack their RGB source in {input_dir / 'rgb'}" if no_rgb else ""
         raise PipelineError(f"no overlap between run frames and COLMAP images{why}")
-    write_colmap_model(model, out / "sparse")
+    # a trainer opens every image the model lists, so list only those exported
+    exported = {image_id: model.images[image_id] for image_id in mapping}
+    write_colmap_model(ColmapModel(model.cameras, exported), out / "sparse")
     payload = {"images": mapping, "warnings": warnings}
     (out / "dataset.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload

@@ -72,7 +72,6 @@ class SceneConfig:
     layers: int = 2
     layer_disparities: tuple[float, ...] = (0.0, 8.0)
     homogeneous_fraction: float = 0.15
-    corrupt_patch_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         _check_field_types(self)
@@ -95,8 +94,6 @@ class SceneConfig:
             raise ValueError("layer disparities must be distinct")
         if not 0.0 <= self.homogeneous_fraction < 0.9:
             raise ValueError("homogeneous_fraction out of range")
-        if not 0.0 <= self.corrupt_patch_fraction <= 1.0:
-            raise ValueError("corrupt_patch_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,6 @@ class GroundTruthBundle:
     alphas_x: tuple[np.ndarray, ...]
     maps_rgb: tuple[tuple[np.ndarray, ...], ...]
     maps_x: tuple[tuple[np.ndarray, ...], ...]
-    corruption_masks: tuple[Mask, ...] | None = None
 
     @property
     def frames(self) -> int:
@@ -592,13 +588,6 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
         area = binary_erosion(area, iterations=2)
         area_masks.append(Mask(area))
 
-    corruption_masks = None
-    if cfg.corrupt_patch_fraction > 0.0:
-        corruption_masks = tuple(
-            _corruption_mask(cfg, int(rng.integers(0, 2**31)), x_gt_frames[n].data)
-            for n in range(cfg.frames)
-        )
-
     bundle = GroundTruthBundle(
         cfg=cfg,
         rgb=tuple(rgb_frames),
@@ -609,7 +598,6 @@ def gen_sequence(cfg: SceneConfig) -> GroundTruthBundle:
         alphas_x=tuple(alphas_x),
         maps_rgb=tuple(maps_rgb),
         maps_x=tuple(maps_x),
-        corruption_masks=corruption_masks,
     )
     _assert_internal_consistency(bundle)
     return bundle
@@ -628,36 +616,33 @@ def _assert_internal_consistency(bundle: GroundTruthBundle) -> None:
             raise RgbxError(f"bundle inconsistency: frame {n} GT warp RMSE {rmse:.4f}")
 
 
-def _corruption_mask(cfg: SceneConfig, seed: int, x_ref: np.ndarray) -> Mask:
-    """Pick patches to corrupt, preferring textured ones.
-
-    Corrupting a flat patch with other flat content is undetectable by any
-    structural validator (and barely corruption); drawing from textured
-    patches keeps the injected defects meaningful.
-    """
-    rng = np.random.default_rng(seed)
-    grid = PatchGrid(cfg.size, cfg.size)
-    total = grid.patches
-    k = max(1, math.ceil(cfg.corrupt_patch_fraction * total))
-    stds = np.array([x_ref[grid.bounds(i)].std() for i in range(total)])
-    textured = np.flatnonzero(stds > 0.02)
-    pool = textured if len(textured) >= k else np.arange(total)
-    chosen = pool[rng.choice(len(pool), size=k, replace=False)]
-    bits = np.zeros((cfg.size, cfg.size), dtype=bool)
-    for idx in chosen:
-        bits[grid.bounds(int(idx))] = True
-    return Mask(bits)
+# Share of a frame's patches that `corrupt_patches` corrupts
+CORRUPT_FRACTION = 0.1
 
 
-def corrupt_with_mask(img: Image, mask: Mask, seed: int = 0) -> Image:
-    """Replace masked pixels with streak artifacts at a random orientation.
+def corrupt_patches(img: Image, seed: int) -> tuple[Image, Mask]:
+    """Replace ceil(CORRUPT_FRACTION * P) of the image's P patches with
+    streak artifacts at a random orientation; returns the corrupted image
+    and the mask of the corrupted patches.
 
     Emulates badly densified patches: propagation failures show up as
     coherent ripples or streaks of plausible magnitude but wrong structure
     and wrong values, which is what the self-matching stage must catch.
+    Patches are drawn from the textured ones (std > 0.02) when there are
+    enough: corrupting a flat patch with other flat content is undetectable
+    by any structural validator, and barely corruption.
     """
     rng = np.random.default_rng(seed)
     height, width = img.shape
+    grid = PatchGrid(height, width)
+    k = math.ceil(CORRUPT_FRACTION * grid.patches)
+    stds = np.array([img.data[grid.bounds(i)].std() for i in range(grid.patches)])
+    textured = np.flatnonzero(stds > 0.02)
+    pool = textured if len(textured) >= k else np.arange(grid.patches)
+    bits = np.zeros((height, width), dtype=bool)
+    for idx in pool[rng.choice(len(pool), size=k, replace=False)]:
+        bits[grid.bounds(int(idx))] = True
+
     phi = rng.uniform(0.0, np.pi)
     period = rng.uniform(5.0, 9.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -666,8 +651,7 @@ def corrupt_with_mask(img: Image, mask: Mask, seed: int = 0) -> Image:
     lo, hi = float(img.data.min()), float(img.data.max())
     mid = lo + rng.uniform(0.35, 0.65) * (hi - lo)
     wrong = np.clip(mid + 0.35 * (hi - lo) * wave, lo, hi)
-    out = np.where(mask.bits, wrong, img.data)
-    return Image(out, units=img.units)
+    return Image(np.where(bits, wrong, img.data), units=img.units), Mask(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +802,7 @@ _SCENE_FILE = "scene.npz"
 def _scene_layout(cfg: SceneConfig) -> dict[str, tuple[tuple[int, ...], type]]:
     """Shape and dtype of one frame's array of every bundle field."""
     size, layers = cfg.size, cfg.layers
-    layout = {
+    return {
         "rgb": ((size, size, 3), np.float64),
         "x_gt": ((size, size), np.float64),
         "x_raw": ((size, size), np.float64),
@@ -828,9 +812,6 @@ def _scene_layout(cfg: SceneConfig) -> dict[str, tuple[tuple[int, ...], type]]:
         "maps_rgb": ((layers, 3, 3), np.float64),
         "maps_x": ((layers, 3, 3), np.float64),
     }
-    if cfg.corrupt_patch_fraction > 0.0:
-        layout["corruption_masks"] = ((size, size), np.bool_)
-    return layout
 
 
 def _frame_array(value: Image | Mask | np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
@@ -939,20 +920,16 @@ def _load_scene(path: Path, _size: int, _mtime_ns: int) -> GroundTruthBundle:
         # 512 px faulted in ~26k fresh pages and took 0.07 s longer.
         arrays[name] = tuple(_freeze(np.array(frame)) for frame in stack)
 
-    def masks(name: str) -> tuple[Mask, ...]:
-        return tuple(Mask(bits) for bits in arrays[name])
-
     bundle = GroundTruthBundle(
         cfg=cfg,
         rgb=tuple(Image(data) for data in arrays["rgb"]),
         x_gt=tuple(Image(data) for data in arrays["x_gt"]),
         x_raw=tuple(Image(data) for data in arrays["x_raw"]),
-        area_masks=masks("area_masks"),
+        area_masks=tuple(Mask(bits) for bits in arrays["area_masks"]),
         alphas_rgb=arrays["alphas_rgb"],
         alphas_x=arrays["alphas_x"],
         maps_rgb=tuple(tuple(maps) for maps in arrays["maps_rgb"]),
         maps_x=tuple(tuple(maps) for maps in arrays["maps_x"]),
-        corruption_masks=masks("corruption_masks") if "corruption_masks" in layout else None,
     )
     _assert_internal_consistency(bundle)
     return bundle

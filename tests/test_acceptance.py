@@ -36,7 +36,7 @@ from rgbxalign.synthbench import (
     NoiseModel,
     SceneConfig,
     consistency_metric,
-    corrupt_with_mask,
+    corrupt_patches,
     gen_sequence,
     oracle_match,
     save_bundle,
@@ -174,7 +174,7 @@ def test_criterion_05_self_matching_filter(workdir):
     gains, recalls, false_rates = [], [], []
     for seed in SEEDS:
         cfg = SceneConfig(seed=seed, size=256, frames=4, modality="nir-like",
-                          corrupt_patch_fraction=0.1, homogeneous_fraction=0.02)
+                          homogeneous_fraction=0.02)
         bundle = gen_sequence(cfg)
         bd = workdir / f"c5b{seed}"
         save_bundle(bundle, bd)
@@ -183,7 +183,7 @@ def test_criterion_05_self_matching_filter(workdir):
                                     backend="oracle", seed=seed, enable_filtering=False))
         for n in (1, 2):
             fused = load_image(out / "x_final" / f"{n:04d}.png")
-            corrupted = corrupt_with_mask(fused, bundle.corruption_masks[n], seed=seed * 10 + n)
+            corrupted, mask = corrupt_patches(fused, seed=seed * 10 + n)
             sim = fuse_filter.similarity_matrix(
                 fuse_filter.patch_descriptors(bundle.rgb[n]),
                 fuse_filter.patch_descriptors(corrupted),
@@ -192,7 +192,7 @@ def test_criterion_05_self_matching_filter(workdir):
             fine = fuse_filter.fine_densify(compute_affinities(bundle.rgb[n]), res.sparse, res.conf,
                                             DensifyConfig())
             grid = fuse_filter.PatchGrid(*bundle.shape)
-            bad = np.array([bundle.corruption_masks[n].bits[grid.bounds(i)].mean() > 0.5
+            bad = np.array([mask.bits[grid.bounds(i)].mean() > 0.5
                             for i in range(grid.patches)])
             recalls.append(res.rejected_patches[bad].mean())
             false_rates.append(res.rejected_patches[~bad].mean())

@@ -561,7 +561,7 @@ class TestRun:
         for f in frames:
             assert "levels omitted (no surviving pixels): [0.9]" in f.warnings, f.warnings
 
-    @pytest.mark.parametrize("command", ["run", "eval", "export"])
+    @pytest.mark.parametrize("command", ["run", "export"])
     def test_two_files_for_one_frame_refused(self, tmp_path, capsys, command):
         """A frame id is a file's stem, so 0001.png next to 0001.pgm names one
         frame twice; the command stops and names both, not keeping one."""
@@ -571,13 +571,12 @@ class TestRun:
         save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=2, modality="nir-like")), inp)
         args = {
             "run": ["run", "--input", str(inp), "--out", str(run)],
-            "eval": ["eval", "--input", str(inp), "--run", str(run)],
             "export": ["export", "--run", str(run), "--out", str(tmp_path / "exp"), "--model",
                        str(minimal_colmap(tmp_path, ["0000.png", "0001.png"]))],
         }[command]
         if command != "run":
             run_pipeline(fast_config(inp, run, window=1))
-        twice = {"run": inp / "x_raw", "eval": run / "x_final", "export": inp / "rgb"}[command]
+        twice = {"run": inp / "x_raw", "export": inp / "rgb"}[command]
         shutil.copyfile(twice / "0001.png", twice / "0001.pgm")
         capsys.readouterr()
         assert cli_main(args) == 2
@@ -708,10 +707,35 @@ class TestEvaluate:
         shutil.copyfile(extra / "rgb" / "0000.png", extra / "rgb" / "0099.png")
         with pytest.raises(PipelineError):
             run_pipeline(fast_config(extra, tmp_path / "out"))
-        (tmp_path / "run" / "x_final").mkdir(parents=True)
-        save_image(load_image(bench_dir / "x_raw" / "0000.png"), tmp_path / "run" / "x_final" / "0099.png")
-        with pytest.raises(PipelineError):
-            evaluate_run(bench_dir, tmp_path / "run")
+        run = tmp_path / "run"
+        (run / "x_final").mkdir(parents=True)
+        out = run / "x_final" / "0099.png"
+        save_image(load_image(bench_dir / "x_raw" / "0000.png"), out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        RunManifest({"input_dir": str(bench_dir), "output_dir": str(run)},
+                    [FrameRecord("0099", outputs={"x_final/0099.png": digest})]
+                    ).write(run / "manifest.json")
+        with pytest.raises(PipelineError, match="0099"):
+            evaluate_run(bench_dir, run)
+
+    def test_rerun_scores_only_its_own_outputs(self, tmp_path):
+        """A rerun into the same directory is scored on what it wrote: a
+        frame that failed this time gets no score from the file an earlier
+        run left behind, nor does that file count toward consistency."""
+        inp, run = tmp_path / "bundle", tmp_path / "run"
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=3, modality="nir-like")), inp)
+        run_pipeline(fast_config(inp, run, window=1))
+        assert [fm.frame for fm in evaluate_run(inp, run).frames] == ["0000", "0001", "0002"]
+        (inp / "x_raw" / "0001.png").unlink()
+        manifest = run_pipeline(fast_config(inp, run, window=1))
+        assert [f.status for f in manifest.frames] == ["ok", "failed", "ok"]
+        assert (run / "x_final" / "0001.png").exists()  # the first run's output
+        report = {fm.frame: fm for fm in evaluate_run(inp, run).frames}
+        assert sorted(report) == ["0000", "0002"]
+        assert np.isnan(report["0000"].consistency)
+        (run / "manifest.json").unlink()
+        with pytest.raises(PipelineError, match="manifest"):
+            evaluate_run(inp, run)
 
 
 def minimal_colmap(tmp_path, names):
@@ -795,6 +819,10 @@ class TestExport:
         assert payload["warnings"] == ["frame 0001: no output to export"]
         assert sorted(v["name"] for v in payload["images"].values()) == ["0000.png", "0002.png"]
         assert sorted(p.name for p in (tmp_path / "exp" / "x").iterdir()) == ["0000.png", "0002.png"]
+        # the model lists only the exported images, and keeps every camera
+        sparse = parse_colmap_model(tmp_path / "exp" / "sparse")
+        assert sorted(img.name for img in sparse.images.values()) == ["0000.png", "0002.png"]
+        assert sparse.cameras == model.cameras
 
     def test_names_with_a_directory_exported(self, tmp_path):
         """COLMAP image names may hold a directory: cam0/0000.png."""
@@ -1029,16 +1057,13 @@ class TestCli:
 
     @pytest.mark.parametrize("args, config", [
         ([], '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 2, '
-             '"layer_disparities": [0.0, 8.0], "homogeneous_fraction": 0.15, '
-             '"corrupt_patch_fraction": 0.0}'),
+             '"layer_disparities": [0.0, 8.0], "homogeneous_fraction": 0.15}'),
         (["--layers", "3"],
          '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 3, '
-         '"layer_disparities": [0.0, 4.0, 8.0], "homogeneous_fraction": 0.15, '
-         '"corrupt_patch_fraction": 0.0}'),
+         '"layer_disparities": [0.0, 4.0, 8.0], "homogeneous_fraction": 0.15}'),
         (["--layers", "1"],
          '{"seed": 0, "size": 256, "frames": 10, "modality": "thermal-like", "layers": 1, '
-         '"layer_disparities": [0.0], "homogeneous_fraction": 0.15, '
-         '"corrupt_patch_fraction": 0.0}'),
+         '"layer_disparities": [0.0], "homogeneous_fraction": 0.15}'),
     ], ids=["no-flags", "layers-3", "layers-1"])
     def test_synth_writes_the_scene_config_of_its_flags(self, tmp_path, monkeypatch, args, config):
         """The scene config a flag set writes, as earlier versions wrote it;
@@ -1090,18 +1115,29 @@ class TestCli:
 
     @pytest.mark.parametrize("args, named", [
         (["--size", "32"], "size"),
-        (["--size", "64", "--frames", "1", "--corrupt-fraction", "1.5"], "corrupt_patch_fraction"),
+        (["--size", "64", "--frames", "1", "--homogeneous-fraction", "0.95"],
+         "homogeneous_fraction"),
         (["--layers", "3", "--disparities", "1", "2"], "layer_disparities"),
         (["--size", "64", "--frames", "1", "--seed", "-1"], "seed"),
         (["--size", "64", "--frames", "1", "--disparities", "nan", "8"], "layer_disparities"),
         (["--size", "64", "--frames", "1", "--disparities", "0", "inf"], "layer_disparities"),
-    ], ids=["size", "corrupt-fraction", "disparities", "seed", "disparities-nan",
+    ], ids=["size", "homogeneous-fraction", "disparities", "seed", "disparities-nan",
             "disparities-inf"])
     def test_synth_rejects_bad_scene(self, tmp_path, capsys, args, named):
         code = cli_main(["synth", "--out", str(tmp_path / "b"), *args])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "b").exists()
+
+    def test_synth_has_no_corrupt_fraction_flag(self, tmp_path, capsys):
+        """Corruption is criterion 5's business (`synthbench.corrupt_patches`),
+        not the bundle's: the flag is an unknown argument."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["synth", "--out", str(tmp_path / "b"), "--size", "64", "--frames", "1",
+                      "--corrupt-fraction", "0.2"])
+        assert exc.value.code == 2
+        assert "--corrupt-fraction" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("manifest", [

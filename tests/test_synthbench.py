@@ -27,7 +27,7 @@ from rgbxalign.synthbench import (
     _render_frame,
     _upsample,
     consistency_metric,
-    corrupt_with_mask,
+    corrupt_patches,
     gen_sequence,
     load_bundle,
     oracle_match,
@@ -389,41 +389,58 @@ class TestConsistencyMetric:
 
 
 class TestCorruption:
-    def test_masks_generated(self):
-        bundle = gen_sequence(SceneConfig(seed=2, size=128, frames=2, corrupt_patch_fraction=0.1))
-        assert bundle.corruption_masks is not None
-        frac = bundle.corruption_masks[0].bits.mean()
-        assert 0.05 <= frac <= 0.2
+    def test_masks_generated(self, small_bundle):
+        _, mask = corrupt_patches(small_bundle.x_gt[0], seed=1)
+        # ceil(0.1 * 16) of the 16 patches of a 128 px frame
+        assert mask.bits.mean() == 2 / 16
 
     def test_masks_are_whole_cells_on_a_remainder_grid(self):
-        bundle = gen_sequence(SceneConfig(seed=4, size=100, frames=4, corrupt_patch_fraction=0.2))
+        img = gen_sequence(SceneConfig(seed=4, size=100, frames=1)).x_gt[0]
         grid = PatchGrid(100, 100)
         touches_edge = False
-        for mask in bundle.corruption_masks:
+        for seed in range(8):
+            _, mask = corrupt_patches(img, seed)
             cells = [mask.bits[grid.bounds(i)] for i in range(grid.patches)]
             assert all(c.all() or not c.any() for c in cells)
-            assert sum(c.all() for c in cells) == 2  # ceil(0.2 * 9) cells
+            assert sum(c.all() for c in cells) == 1  # ceil(0.1 * 9) cells
             touches_edge |= bool(mask.bits[-1].any() or mask.bits[:, -1].any())
         # the last row and column of cells are 36 px, not 32
         assert touches_edge
 
     def test_corrupt_changes_only_masked(self, small_bundle):
-        bundle = gen_sequence(SceneConfig(seed=2, size=128, frames=2, corrupt_patch_fraction=0.1))
-        img = bundle.x_gt[0]
-        out = corrupt_with_mask(img, bundle.corruption_masks[0], seed=1)
-        bits = bundle.corruption_masks[0].bits
+        img = small_bundle.x_gt[0]
+        out, mask = corrupt_patches(img, seed=1)
+        bits = mask.bits
+        assert out.units == img.units
         assert np.array_equal(out.data[~bits], img.data[~bits])
         assert np.mean(np.abs(out.data[bits] - img.data[bits])) > 0.05
 
+    def test_textured_patches_first(self, rng):
+        """Three textured patches of 16: the two picked are textured ones,
+        the same for the same seed; a flat image falls back to any patch."""
+        data = np.full((128, 128), 0.5)
+        grid = PatchGrid(128, 128)
+        textured = (3, 6, 12)
+        for i in textured:
+            data[grid.bounds(i)] = rng.random((32, 32))
+        img = Image(data)
+        out, mask = corrupt_patches(img, seed=5)
+        picked = [i for i in range(grid.patches) if mask.bits[grid.bounds(i)].all()]
+        assert len(picked) == 2 and set(picked) <= set(textured)
+        again, same = corrupt_patches(img, seed=5)
+        assert np.array_equal(again.data, out.data) and np.array_equal(same.bits, mask.bits)
+        _, flat = corrupt_patches(Image(np.full((128, 128), 0.5)), seed=5)
+        assert flat.bits.mean() == 2 / 16
+
 
 BUNDLE_FIELDS = ("rgb", "x_gt", "x_raw", "area_masks", "alphas_rgb", "alphas_x",
-                 "maps_rgb", "maps_x", "corruption_masks")
+                 "maps_rgb", "maps_x")
 
 
 def field_arrays(bundle, name):
     """Every array a bundle field holds, in frame (and layer) order."""
     out = []
-    for value in getattr(bundle, name) or ():
+    for value in getattr(bundle, name):
         if isinstance(value, tuple):
             out.extend(value)
         elif isinstance(value, Image):
@@ -439,14 +456,13 @@ class TestPersistence:
     @pytest.mark.parametrize("cfg", [
         SceneConfig(seed=17, size=64, frames=2),
         SceneConfig(seed=2, size=96, frames=3, modality="sar-like", layers=3,
-                    layer_disparities=(0.0, 4.0, 9.0), corrupt_patch_fraction=0.2),
-    ], ids=["plain", "corrupted-three-layers"])
+                    layer_disparities=(0.0, 4.0, 9.0)),
+    ], ids=["plain", "three-layers"])
     def test_round_trip_is_bit_identical(self, tmp_path, cfg):
         bundle = gen_sequence(cfg)
         save_bundle(bundle, tmp_path / "b")
         again = load_bundle(tmp_path / "b")
         assert again.cfg == cfg
-        assert (bundle.corruption_masks is None) == (cfg.corrupt_patch_fraction == 0.0)
         for name in BUNDLE_FIELDS:
             want, got = field_arrays(bundle, name), field_arrays(again, name)
             assert len(got) == len(want), name
@@ -470,8 +486,7 @@ class TestPersistence:
             assert np.array_equal(g, w)
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
-        cfg = SceneConfig(seed=3, size=64, frames=2, corrupt_patch_fraction=0.1)
-        save_bundle(gen_sequence(cfg), tmp_path / "b")
+        save_bundle(gen_sequence(SceneConfig(seed=3, size=64, frames=2)), tmp_path / "b")
         bundle = load_bundle(tmp_path / "b")
         for name in BUNDLE_FIELDS:
             arrays = field_arrays(bundle, name)
@@ -506,6 +521,7 @@ class TestPersistence:
         for change, match in (
             (dict(x_gt=members["x_gt"][:, :32]), "x_gt array"),
             (dict(alphas_x=members["alphas_x"][:1]), "alphas_x array"),
+            # the corruption masks that older versions stored
             (dict(corruption_masks=members["area_masks"]), "members"),
             # the layer maps that older versions stored
             (dict(layer_maps=members["area_masks"].astype(np.int64)), "regenerate the bundle"),
